@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import ingest, profiling, simulator, stats
-from .protocol import FrameError, SENSOR_COUNT, SensorId
-from .recording import EmptyRecording, Expertise, IoFailure
+from .protocol import SENSOR_COUNT, SensorId
+from .recording import Expertise, IoFailure
 
 SEED_ENV_VAR = "GRIPSTREAM_SEED"
 
@@ -250,8 +250,7 @@ def _cmd_compare(args) -> int:
     if len(parts) != 2 or not all(parts):
         raise UsageError(f"--factor-names must be NAME_A,NAME_B, got {args.factor_names!r}")
     name_a, name_b = parts
-    observations = []
-    cells: dict[tuple[str, str], stats.CellSummary] = {}
+    pooled: dict[tuple[str, str], list[int]] = {}
     for entry in args.cell:
         try:
             levels, path = entry.split("=", 1)
@@ -259,9 +258,11 @@ def _cmd_compare(args) -> int:
         except ValueError:
             raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
         recording = ingest.load_session(path)
-        values = [amp for _, amp in profiling.sensor_series(recording, sensor)]
-        cells[(level_a, level_b)] = stats.mean_sem(values)
-        observations.extend((level_a, level_b, v) for v in values)
+        pooled.setdefault((level_a, level_b), []).extend(
+            amp for _, amp in profiling.sensor_series(recording, sensor)
+        )
+    cells = {cell: stats.mean_sem(values) for cell, values in pooled.items()}
+    observations = [(la, lb, v) for (la, lb), values in pooled.items() for v in values]
     table = stats.two_way_anova(observations, factor_names=(name_a, name_b))
     _print_cells(cells, (name_a, name_b))
     print()
@@ -348,23 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DATA_ERRORS = (
-    ingest.MalformedFile,
-    ingest.BindFailure,
-    IoFailure,
-    FrameError,
-    EmptyRecording,
-    profiling.EmptySeries,
-    profiling.BadWindow,
-    stats.EmptyCell,
-    stats.EmptyInput,
-    stats.UnbalancedDesign,
-    stats.InsufficientReplication,
-    stats.InvalidDf,
-    simulator.StreamError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -376,10 +360,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"gripstream: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except _DATA_ERRORS as exc:
-        print(f"gripstream: {exc}", file=sys.stderr)
-        return _DATA_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError, stats.ConvergenceError) as exc:
         print(f"gripstream: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

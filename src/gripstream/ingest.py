@@ -31,7 +31,6 @@ from .protocol import (
     FRAME_MAGIC,
     FRAME_SIZE,
     SENSOR_COUNT,
-    CrcMismatch,
     FrameError,
     GloveFrame,
     Hand,
@@ -77,10 +76,14 @@ class FrameStreamDecoder:
     """Incremental decoder for back-to-back wire frames on a byte stream.
 
     Feed received chunks with :meth:`feed`; decoded frames come back in
-    order. Corruption is isolated: a frame whose CRC fails at an aligned
-    position is skipped whole, a broken magic triggers a byte-wise scan to
-    the next plausible frame start. Each corruption event increments
-    ``errors`` once.
+    order. Only a 41-octet window that starts with the magic and passes
+    :func:`decode_frame` yields a frame. After any failure the decoder
+    moves to the next magic byte, one past the failed position, so an
+    intact frame right after a corrupted one is still found. ``errors``
+    counts corruption events: a failure while the stream was aligned
+    counts once, and further failures count nothing until a valid frame
+    realigns the stream. Bytes of an incomplete trailing window wait in
+    :attr:`pending` for the next chunk.
     """
 
     def __init__(self):
@@ -89,42 +92,28 @@ class FrameStreamDecoder:
         self.errors = 0
 
     def feed(self, data: bytes) -> list[GloveFrame]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
         frames = []
-        while len(self._buf) >= FRAME_SIZE:
-            candidate = bytes(self._buf[:FRAME_SIZE])
+        pos = 0
+        while pos + FRAME_SIZE <= len(buf):
+            if buf[pos] == FRAME_MAGIC:
+                try:
+                    frames.append(decode_frame(buf[pos:pos + FRAME_SIZE]))
+                except FrameError:
+                    pass
+                else:
+                    self._aligned = True
+                    pos += FRAME_SIZE
+                    continue
             if self._aligned:
-                if candidate[0] != FRAME_MAGIC:
-                    self.errors += 1
-                    self._aligned = False
-                    self._scan()
-                    continue
-                try:
-                    frames.append(decode_frame(candidate))
-                except CrcMismatch:
-                    # aligned but corrupted: drop exactly this frame
-                    self.errors += 1
-                except FrameError:
-                    self.errors += 1
-                del self._buf[:FRAME_SIZE]
-            else:
-                # resynchronizing: only a fully valid frame re-anchors us
-                try:
-                    frames.append(decode_frame(candidate))
-                except FrameError:
-                    del self._buf[0]
-                    self._scan()
-                    continue
-                self._aligned = True
-                del self._buf[:FRAME_SIZE]
+                self.errors += 1
+                self._aligned = False
+            pos = buf.find(FRAME_MAGIC, pos + 1)
+            if pos < 0:
+                pos = len(buf)
+        del buf[:pos]
         return frames
-
-    def _scan(self):
-        idx = self._buf.find(FRAME_MAGIC)
-        if idx < 0:
-            self._buf.clear()
-        else:
-            del self._buf[:idx]
 
     @property
     def pending(self) -> int:
@@ -162,7 +151,8 @@ class SessionRecorder:
     """Accepts glove connections and assembles one recording per connection.
 
     Each connection is served by its own thread with no shared mutable
-    state; a recording is published only once its peer disconnects. The
+    state; a recording is published only once its peer disconnects, and
+    only for a connection that delivered at least one valid frame. The
     bound address is available as :attr:`address` before :meth:`run` is
     called, so callers can bind port 0 and stream to the real port.
     """
@@ -242,16 +232,17 @@ class SessionRecorder:
                         continue
                     frames.append(frame)
                     last_seq = frame.seq
-        recording = SessionRecording(
+        if hand is None:
+            return
+        results[slot] = SessionRecording(
             user_id=user_id,
             expertise=expertise,
             session_index=session_index,
-            hand=hand if hand is not None else Hand.LEFT,
+            hand=hand,
             frames=frames,
             decode_errors=decoder.errors,
             dropped_frames=dropped,
         )
-        results[slot] = recording
 
 
 def record(host: str = "127.0.0.1", port: int = 0, *, user_id: str, expertise: Expertise,
@@ -375,8 +366,16 @@ def _write_csv(recording: SessionRecording, fh) -> None:
         ])
 
 
+def _csv_int(value: str, lineno: int, column: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise MalformedFile(f"{value!r} is not an integer", line=lineno, column=column) from None
+
+
 def _parse_csv(blob: bytes, name: str) -> SessionRecording:
     columns = CSV_HEADER.split(",")
+    amp_columns = columns[-SENSOR_COUNT:]
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -397,42 +396,34 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             continue
         if len(row) != len(columns):
             raise MalformedFile(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
-
-        def field(column: str) -> str:
-            return row[columns.index(column)]
-
-        def int_field(column: str) -> int:
-            value = field(column)
-            try:
-                return int(value)
-            except ValueError:
-                raise MalformedFile(
-                    f"{value!r} is not an integer", line=lineno, column=column
-                ) from None
-
+        user_id, expertise_text, session_text, hand_text, seq_text, timestamp_text, *amp_texts = row
         try:
-            expertise = Expertise(field("expertise").lower())
+            expertise = Expertise(expertise_text.lower())
         except ValueError:
             raise MalformedFile(
-                f"unknown expertise {field('expertise')!r}", line=lineno, column="expertise"
+                f"unknown expertise {expertise_text!r}", line=lineno, column="expertise"
             ) from None
-        hand_name = field("hand").lower()
+        hand_name = hand_text.lower()
         if hand_name not in ("left", "right"):
-            raise MalformedFile(f"unknown hand {field('hand')!r}", line=lineno, column="hand")
+            raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
         hand = Hand.LEFT if hand_name == "left" else Hand.RIGHT
-        row_meta = (field("user_id"), expertise, int_field("session_index"), hand)
+        row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
         if meta is None:
             meta = row_meta
         elif row_meta != meta:
             raise MalformedFile("session metadata changes between rows", line=lineno)
 
-        seq = int_field("seq")
+        seq = _csv_int(seq_text, lineno, "seq")
         if seq <= last_seq:
             raise MalformedFile(f"seq {seq} not increasing", line=lineno, column="seq")
         last_seq = seq
-        amps = tuple(int_field(f"s{i}") for i in range(1, SENSOR_COUNT + 1))
+        amps = tuple(
+            _csv_int(value, lineno, column) for value, column in zip(amp_texts, amp_columns)
+        )
         try:
-            frames.append(GloveFrame(hand, seq, int_field("timestamp_ms"), amps))
+            frames.append(
+                GloveFrame(hand, seq, _csv_int(timestamp_text, lineno, "timestamp_ms"), amps)
+            )
         except ValueError as exc:
             raise MalformedFile(str(exc), line=lineno) from None
     if meta is None:

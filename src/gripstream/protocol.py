@@ -16,6 +16,7 @@ without any extra framing.
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -141,25 +142,9 @@ class GloveFrame:
         return self.amplitudes[index - 1]
 
 
-def _build_crc_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return tuple(table)
-
-
-_CRC_TABLE = _build_crc_table()
-
-
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xorout."""
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def encode_frame(frame: GloveFrame) -> bytes:

@@ -101,6 +101,16 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_missing_config_is_data_error(tmp_path, capsys):
+    code = main(["simulate", "--config", str(tmp_path / "missing.conf"),
+                 "--out", str(tmp_path / "x.bin")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gripstream: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["simulate", "--frobnicate"]) == 1
 
@@ -159,6 +169,28 @@ def test_compare_toy_design_zero_interaction(tmp_path, capsys):
     out = capsys.readouterr().out
     interaction_line = next(line for line in out.splitlines() if line.startswith("A x B"))
     assert interaction_line.split()[-2] == "0"  # F column
+
+
+def test_compare_pools_repeated_cells(tmp_path, capsys):
+    def cell_recording(values, user):
+        frames = [GloveFrame(Hand.LEFT, i, i * 20, (v,) * 12) for i, v in enumerate(values)]
+        return SessionRecording(user, Expertise.NOVICE, 1, Hand.LEFT, frames)
+
+    args = ["compare"]
+    for cell, base in (("A1:B1", 10), ("A1:B2", 20), ("A2:B1", 30), ("A2:B2", 40)):
+        for part, values in enumerate(([base, base + 1, base + 2], [base + 6, base + 7, base + 8])):
+            path = tmp_path / f"{cell.replace(':', '_')}_{part}.bin"
+            save_session(cell_recording(values, "u"), path)
+            args += ["--cell", f"{cell}={path}"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    n = 6  # two files of three frames per cell
+    cell_rows = [line.split() for line in out.splitlines() if line.startswith("A=")]
+    assert len(cell_rows) == 4
+    assert all(int(row[-1]) == n for row in cell_rows)
+    assert [float(row[-3]) for row in cell_rows] == [14.0, 24.0, 34.0, 44.0]
+    error_row = next(line for line in out.splitlines() if line.startswith("error"))
+    assert int(error_row.split()[2]) == 4 * n - 4
 
 
 def test_compare_unbalanced_design_surfaced(tmp_path, capsys):

@@ -4,6 +4,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gripstream.ingest import (
     CSV_HEADER,
@@ -106,6 +108,106 @@ def test_decoder_random_corruption_loses_at_most_k_frames():
         assert decoder.errors >= 1
 
 
+def test_decoder_deleted_byte_loses_only_its_frame():
+    recording = make_recording(500)
+    payload = wire_bytes(recording)
+    del payload[5 * FRAME_SIZE + 10]
+    decoder = FrameStreamDecoder()
+    frames = decoder.feed(bytes(payload))
+    assert len(frames) == 499
+    assert [f.seq for f in frames] == [s for s in range(500) if s != 5]
+    assert decoder.errors == 1
+
+
+DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, FRAME_SIZE * 8 - 1)),
+    st.tuples(st.just("delete"), st.integers(0, FRAME_SIZE - 1)),
+    st.tuples(st.just("junk"), st.binary(min_size=1, max_size=64)),
+)
+
+
+@st.composite
+def damaged_streams(draw, separated: bool):
+    """A stream of random frames with damage at some frame slots.
+
+    Slot ``i`` holds one of: a flipped bit in frame ``i``, a deleted byte
+    of frame ``i``, or a junk run inserted just before frame ``i``. With
+    ``separated``, slots lie at least three frames apart and at least
+    three frames before the end, so at least one intact frame follows
+    every damage span. Returns the sent frames, the damaged wire bytes,
+    the indices of frames whose bytes the damage touches, the number of
+    damage spans and a seed for chunking.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    if separated:
+        slots = [draw(st.integers(0, 3))]
+        for step in draw(st.lists(st.integers(3, 6), max_size=8)):
+            slots.append(slots[-1] + step)
+        count = slots[-1] + draw(st.integers(3, 6))
+    else:
+        count = draw(st.integers(2, 30))
+        slots = sorted(draw(st.sets(st.integers(0, count - 1), max_size=count)))
+    rng = random.Random(seed)
+    frames = [  # 0xA5A5 amplitudes plant false magic bytes inside frames
+        GloveFrame(Hand.LEFT, seq, seq * 20,
+                   tuple(rng.choice((rng.randrange(65536), 0xA5A5)) for _ in range(12)))
+        for seq in range(count)
+    ]
+    clean = b"".join(encode_frame(f) for f in frames)
+    damage = {slot: draw(DAMAGE) for slot in slots}
+    payload = bytearray()
+    touched = set()
+    for i, frame in enumerate(frames):
+        wire = bytearray(encode_frame(frame))
+        kind, arg = damage.get(i, (None, None))
+        if kind == "flip":
+            wire[arg // 8] ^= 1 << (arg % 8)
+            touched.add(i)
+        elif kind == "delete":
+            del wire[arg]
+            # deleting any byte of a run of equal bytes gives the same stream;
+            # a run ending in the next frame's magic takes that magic with it
+            last = i * FRAME_SIZE + arg
+            while last + 1 < len(clean) and clean[last + 1] == clean[last]:
+                last += 1
+            touched.update((i, last // FRAME_SIZE))
+        elif kind == "junk":
+            payload += arg
+        payload += wire
+    return frames, bytes(payload), touched, len(slots), seed
+
+
+def feed_in_chunks(payload: bytes, seed: int) -> tuple[list, FrameStreamDecoder]:
+    rng = random.Random(seed)
+    decoder = FrameStreamDecoder()
+    frames = []
+    pos = 0
+    while pos < len(payload):
+        step = rng.randrange(1, 97)
+        frames.extend(decoder.feed(payload[pos:pos + step]))
+        pos += step
+    return frames, decoder
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(damaged_streams(separated=False))
+def test_decoder_emits_sent_frames_and_recovers_every_intact_one(case):
+    sent, payload, touched, _spans, seed = case
+    frames, _decoder = feed_in_chunks(payload, seed)
+    seqs = [f.seq for f in frames]
+    assert seqs == sorted(set(seqs))
+    assert all(0 <= s < len(sent) and f == sent[s] for s, f in zip(seqs, frames))
+    assert set(range(len(sent))) - touched <= set(seqs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(damaged_streams(separated=True))
+def test_decoder_counts_each_separated_damage_span_once(case):
+    _sent, payload, _touched, spans, seed = case
+    _frames, decoder = feed_in_chunks(payload, seed)
+    assert decoder.errors == spans
+
+
 # --- recording over sockets --------------------------------------------------
 
 
@@ -173,6 +275,15 @@ def test_record_tallies_corrupt_frame():
     (received,) = holder["recordings"]
     assert len(received.frames) == 443
     assert received.decode_errors == 1
+
+
+def test_record_publishes_nothing_for_frameless_connection():
+    original = synth(duration_s=1.0)
+    recorder, thread, holder = start_recorder(connections=2)
+    send_raw(recorder.address, b"")
+    send_raw(recorder.address, bytes(wire_bytes(original)))
+    thread.join(timeout=10)
+    assert [rec.frames for rec in holder["recordings"]] == [original.frames]
 
 
 def test_bind_failure_on_taken_port():
