@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expertise", choices=[e.value for e in Expertise], required=True)
     p.add_argument("--session", type=int, default=1)
     p.add_argument("--connections", type=int, default=1, help="gloves expected")
-    p.add_argument("--timeout", type=float, help="give up waiting after this many seconds")
+    p.add_argument("--timeout", type=float, help="overall deadline (s); what arrived is kept")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=_cmd_record)

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import csv
 import io
+import selectors
 import socket
 import struct
-import threading
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 
 from .protocol import (
     FRAME_MAGIC,
@@ -147,14 +148,34 @@ def detect_gaps(recording: SessionRecording) -> GapReport:
     return GapReport(expected, len(frames), tuple(gaps))
 
 
+@dataclass
+class _Peer:
+    """What one accepted connection has delivered so far."""
+
+    decoder: FrameStreamDecoder = field(default_factory=FrameStreamDecoder)
+    frames: list[GloveFrame] = field(default_factory=list)
+    hand: Hand | None = None
+    dropped: int = 0
+
+    def take(self, chunk: bytes) -> None:
+        """Keep each decoded frame of the first hand seen whose seq increases."""
+        for frame in self.decoder.feed(chunk):
+            if self.hand is None:
+                self.hand = frame.hand
+            if frame.hand != self.hand or (self.frames and frame.seq <= self.frames[-1].seq):
+                self.dropped += 1
+            else:
+                self.frames.append(frame)
+
+
 class SessionRecorder:
     """Accepts glove connections and assembles one recording per connection.
 
-    Each connection is served by its own thread with no shared mutable
-    state; a recording is published only once its peer disconnects, and
-    only for a connection that delivered at least one valid frame. The
-    bound address is available as :attr:`address` before :meth:`run` is
-    called, so callers can bind port 0 and stream to the real port.
+    :meth:`run` serves every connection from one selector loop in the
+    caller's thread, under one overall deadline of ``timeout`` seconds. A
+    recording is built only for a connection that delivered at least one
+    valid frame. The bound address is available as :attr:`address` before
+    :meth:`run` is called, so callers can bind port 0 and stream to the real port.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -167,7 +188,6 @@ class SessionRecorder:
             self._server = socket.create_server((host, port))
         except OSError as exc:
             raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
-        self._server.settimeout(0.1)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -175,74 +195,41 @@ class SessionRecorder:
         return name[0], name[1]
 
     def run(self) -> list[SessionRecording]:
-        """Block until ``connections`` peers have streamed and disconnected.
+        """Receive until ``connections`` peers have streamed and disconnected.
 
-        With a timeout set, waiting for further connections stops once the
-        deadline passes and whatever was captured is returned.
+        When the ``timeout`` deadline passes first, the open connections are
+        closed and what each delivered is kept; ``None`` waits forever.
+        Recordings come back in accept order.
         """
         deadline = None if self._timeout is None else time.monotonic() + self._timeout
-        results: list[SessionRecording | None] = [None] * self._connections
-        threads = []
-        accepted = 0
-        try:
-            while accepted < self._connections:
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                try:
-                    conn, _peer = self._server.accept()
-                except socket.timeout:
-                    continue
-                slot = accepted
-                accepted += 1
-                thread = threading.Thread(
-                    target=self._serve, args=(conn, results, slot), daemon=True
-                )
-                thread.start()
-                threads.append(thread)
-        finally:
-            self._server.close()
-        for thread in threads:
-            thread.join(timeout=self._timeout)
-        return [rec for rec in results if rec is not None]
-
-    def _serve(self, conn: socket.socket, results: list, slot: int):
-        user_id, expertise, session_index = self._meta
-        decoder = FrameStreamDecoder()
-        frames: list[GloveFrame] = []
-        hand: Hand | None = None
-        dropped = 0
-        last_seq = -1
-        with conn:
-            if self._timeout is not None:
-                conn.settimeout(self._timeout)
-            while True:
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    break
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    if hand is None:
-                        hand = frame.hand
-                    if frame.hand != hand or frame.seq <= last_seq:
-                        dropped += 1
+        peers: list[_Peer] = []
+        with self._server, selectors.DefaultSelector() as selector, ExitStack() as conns:
+            if self._connections > 0:
+                selector.register(self._server, selectors.EVENT_READ)
+            while selector.get_map() and (deadline is None or time.monotonic() < deadline):
+                wait = None if deadline is None else deadline - time.monotonic()
+                for key, _events in selector.select(wait):
+                    if key.data is None:
+                        conn = conns.enter_context(self._server.accept()[0])
+                        peers.append(_Peer())
+                        selector.register(conn, selectors.EVENT_READ, peers[-1])
+                        if len(peers) == self._connections:
+                            selector.unregister(self._server)
                         continue
-                    frames.append(frame)
-                    last_seq = frame.seq
-        if hand is None:
-            return
-        results[slot] = SessionRecording(
-            user_id=user_id,
-            expertise=expertise,
-            session_index=session_index,
-            hand=hand,
-            frames=frames,
-            decode_errors=decoder.errors,
-            dropped_frames=dropped,
-        )
+                    try:
+                        chunk = key.fileobj.recv(65536)
+                    except OSError:
+                        chunk = b""
+                    if chunk:
+                        key.data.take(chunk)
+                    else:
+                        selector.unregister(key.fileobj)
+                        key.fileobj.close()
+        return [
+            SessionRecording(*self._meta, peer.hand, peer.frames,
+                             decode_errors=peer.decoder.errors, dropped_frames=peer.dropped)
+            for peer in peers if peer.hand is not None
+        ]
 
 
 def record(host: str = "127.0.0.1", port: int = 0, *, user_id: str, expertise: Expertise,
@@ -373,6 +360,14 @@ def _csv_int(value: str, lineno: int, column: str) -> int:
         raise MalformedFile(f"{value!r} is not an integer", line=lineno, column=column) from None
 
 
+def _csv_rows(reader):
+    """The reader's rows, with its syntax errors raised as MalformedFile."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedFile(str(exc), line=reader.line_num) from None
+
+
 def _parse_csv(blob: bytes, name: str) -> SessionRecording:
     columns = CSV_HEADER.split(",")
     amp_columns = columns[-SENSOR_COUNT:]
@@ -380,9 +375,9 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{name} is not valid utf-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    rows = _csv_rows(csv.reader(io.StringIO(text)))
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise MalformedFile("empty file", line=1) from None
     if header != columns:
@@ -391,7 +386,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
     meta: tuple[str, Expertise, int, Hand] | None = None
     frames: list[GloveFrame] = []
     last_seq = -1
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(columns):
@@ -417,13 +412,12 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
         if seq <= last_seq:
             raise MalformedFile(f"seq {seq} not increasing", line=lineno, column="seq")
         last_seq = seq
+        timestamp = _csv_int(timestamp_text, lineno, "timestamp_ms")
         amps = tuple(
             _csv_int(value, lineno, column) for value, column in zip(amp_texts, amp_columns)
         )
         try:
-            frames.append(
-                GloveFrame(hand, seq, _csv_int(timestamp_text, lineno, "timestamp_ms"), amps)
-            )
+            frames.append(GloveFrame(hand, seq, timestamp, amps))
         except ValueError as exc:
             raise MalformedFile(str(exc), line=lineno) from None
     if meta is None:

@@ -42,6 +42,9 @@ class Hand(IntEnum):
     RIGHT = 1
 
 
+_HAND_BY_CODE = tuple(Hand)  # indexed by wire value, cheaper than calling Hand()
+
+
 SENSOR_LABELS = {
     1: "distal phalanx, thumb",
     2: "distal phalanx, index finger",
@@ -163,8 +166,9 @@ def encode_frame(frame: GloveFrame) -> bytes:
 def decode_frame(data: bytes) -> GloveFrame:
     """Parse one 41-octet buffer back into a GloveFrame.
 
-    Raises Truncated, BadMagic, CrcMismatch or UnsupportedVersion; every
-    error carries the offending byte offset.
+    Raises Truncated, BadMagic, CrcMismatch, UnsupportedVersion, or a
+    plain FrameError for a hand byte other than 0 or 1; every error
+    carries the offending byte offset.
     """
     if len(data) != FRAME_SIZE:
         raise Truncated(f"frame must be {FRAME_SIZE} octets, got {len(data)}", len(data))
@@ -177,7 +181,9 @@ def decode_frame(data: bytes) -> GloveFrame:
     if data[1] != FRAME_VERSION:
         raise UnsupportedVersion(f"protocol version {data[1]} not supported", 1)
     _, _, hand, seq, timestamp_ms, *amps = _BODY.unpack(data[:CRC_OFFSET])
-    return GloveFrame(Hand(hand), seq, timestamp_ms, tuple(amps))
+    if hand >= len(_HAND_BY_CODE):
+        raise FrameError(f"unknown hand code {hand}", 2)
+    return GloveFrame(_HAND_BY_CODE[hand], seq, timestamp_ms, tuple(amps))
 
 
 @dataclass(frozen=True)

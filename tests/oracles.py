@@ -26,6 +26,14 @@ def crc16_bitwise(data: bytes) -> int:
     return crc
 
 
+def with_hand_byte(wire: bytes, hand: int) -> bytes:
+    """A 41-octet wire frame with octet 2 (hand) set and the CRC recomputed bitwise."""
+    body = bytearray(wire[:39])
+    body[2] = hand
+    crc = crc16_bitwise(body)
+    return bytes(body) + bytes((crc & 0xFF, crc >> 8))
+
+
 def brute_force_anova(observations):
     """Definitional two-way sums of squares, one term per observation.
 

@@ -222,6 +222,16 @@ def test_export_round_trip(tmp_path):
     assert src.read_bytes() == back.read_bytes()
 
 
+def test_export_csv_syntax_error_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    save_session(constant_recording(), bad)
+    bad.write_bytes(bad.read_bytes().replace(b"c,", b"c\r,", 1))
+    assert main(["export", "--in", str(bad), "--out", str(tmp_path / "out.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gripstream: ")
+    assert "Traceback" not in err
+
+
 def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):
     src = tmp_path / "s.bin"
     main(["simulate", "--user", "expert", "--duration", "2.0", "--seed", "21",

@@ -2,9 +2,10 @@ import math
 import random
 import socket
 import threading
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gripstream.ingest import (
@@ -19,7 +20,7 @@ from gripstream.ingest import (
 from gripstream.protocol import FRAME_SIZE, GloveFrame, Hand, encode_frame
 from gripstream.recording import EmptyRecording, Expertise, SessionRecording
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
-from oracles import random_recording
+from oracles import random_recording, with_hand_byte
 
 
 def make_recording(count=10, hand=Hand.LEFT, start_seq=0, user_id="u1",
@@ -116,6 +117,13 @@ def test_decoder_deleted_byte_loses_only_its_frame():
     frames = decoder.feed(bytes(payload))
     assert len(frames) == 499
     assert [f.seq for f in frames] == [s for s in range(500) if s != 5]
+    assert decoder.errors == 1
+
+
+def test_decoder_skips_frame_with_unknown_hand_byte():
+    bad, good = (encode_frame(f) for f in make_recording(2).frames)
+    decoder = FrameStreamDecoder()
+    assert decoder.feed(with_hand_byte(bad, 2) + good) == [make_recording(2).frames[1]]
     assert decoder.errors == 1
 
 
@@ -286,6 +294,54 @@ def test_record_publishes_nothing_for_frameless_connection():
     assert [rec.frames for rec in holder["recordings"]] == [original.frames]
 
 
+def test_record_unknown_hand_byte_costs_only_its_glove():
+    left = synth(duration_s=1.0, seed=1, hand=Hand.LEFT)
+    right = synth(duration_s=1.0, seed=2, hand=Hand.RIGHT)
+    bad = with_hand_byte(encode_frame(right.frames[0]), 7)
+    recorder, thread, holder = start_recorder(connections=2)
+    send_raw(recorder.address, bytes(wire_bytes(left)))
+    send_raw(recorder.address, bad + bytes(wire_bytes(right)))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    first, second = holder["recordings"]
+    assert first.frames == left.frames
+    assert second.frames == right.frames
+    assert second.decode_errors == 1
+
+
+def test_record_honours_one_overall_deadline():
+    recorder = SessionRecorder("127.0.0.1", 0, user_id="u1", expertise=Expertise.NOVICE,
+                               session_index=1, connections=3, timeout=1.0)
+    sent_at = {Hand.LEFT: [], Hand.RIGHT: []}  # when each frame's sendall returned
+
+    def glove(hand):  # one frame every 50 ms for 3 s; the third glove never connects
+        with socket.create_connection(recorder.address, timeout=5) as sock:
+            for seq in range(60):
+                try:
+                    sock.sendall(encode_frame(GloveFrame(hand, seq, seq * 50, (seq,) * 12)))
+                except OSError:
+                    return
+                sent_at[hand].append(time.monotonic())
+                time.sleep(0.05)
+
+    senders = [threading.Thread(target=glove, args=(hand,), daemon=True) for hand in Hand]
+    start = time.monotonic()
+    for sender in senders:
+        sender.start()
+    recordings = recorder.run()
+    elapsed = time.monotonic() - start
+    for sender in senders:
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+    assert elapsed < 1.5
+    assert sorted(rec.hand for rec in recordings) == [Hand.LEFT, Hand.RIGHT]
+    for rec in recordings:
+        seqs = [f.seq for f in rec.frames]
+        assert seqs == list(range(len(seqs)))
+        # every frame sent well before the deadline arrived intact
+        assert len(seqs) >= sum(t < start + 0.8 for t in sent_at[rec.hand]) >= 10
+
+
 def test_bind_failure_on_taken_port():
     from gripstream.ingest import BindFailure
 
@@ -448,4 +504,106 @@ def test_csv_diagnostics_carry_line_and_column(tmp_path):
 
     path.write_text(lines[0] + "\n", encoding="utf-8")
     with pytest.raises(MalformedFile, match="no data rows"):
+        load_session(path)
+
+
+def test_csv_timestamp_diagnostic_names_its_column_once(tmp_path):
+    path = tmp_path / "r.csv"
+    save_session(make_recording(1), path, format="csv")
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    fields = row.split(",")
+    fields[5] = "abc"  # timestamp_ms
+    path.write_text(f"{header}\n{','.join(fields)}\n", encoding="utf-8")
+    with pytest.raises(MalformedFile) as exc:
+        load_session(path)
+    assert str(exc.value) == "'abc' is not an integer (line 2, column 'timestamp_ms')"
+    assert exc.value.column == "timestamp_ms"
+
+
+def test_csv_lone_carriage_return_is_malformed(tmp_path):
+    path = tmp_path / "r.csv"
+    save_session(make_recording(2), path, format="csv")
+    blob = path.read_bytes().replace(b"u1,", b"u\r1,", 2)
+    path.write_bytes(blob)
+    with pytest.raises(MalformedFile) as exc:
+        load_session(path)
+    assert exc.value.line == 2
+
+
+def test_csv_oversized_field_is_malformed(tmp_path):
+    path = tmp_path / "r.csv"
+    save_session(make_recording(2, user_id="u" * 200_000), path, format="csv")
+    with pytest.raises(MalformedFile) as exc:
+        load_session(path)
+    assert exc.value.line == 2
+
+
+def test_binary_frame_with_unknown_hand_byte_is_malformed(tmp_path):
+    path = tmp_path / "r.bin"
+    save_session(make_recording(3), path, format="binary")
+    blob = path.read_bytes()
+    first = len(blob) - 3 * FRAME_SIZE
+    path.write_bytes(blob[:first] + with_hand_byte(blob[first:first + FRAME_SIZE], 2)
+                     + blob[first + FRAME_SIZE:])
+    with pytest.raises(MalformedFile) as exc:
+        load_session(path)
+    assert exc.value.offset == first
+
+
+FILE_DAMAGE = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 2**32 - 1), st.integers(0, 7)),
+        st.tuples(st.just("delete"), st.integers(0, 2**32 - 1), st.integers(1, 8)),
+        st.tuples(st.just("insert"), st.integers(0, 2**32 - 1), st.one_of(
+            st.binary(min_size=1, max_size=8),
+            st.sampled_from((b"\r", b"\n", b",", b'"', b"\x00", b"\xa5")),
+        )),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def damage_file(blob: bytes, damage) -> bytes:
+    """Apply bit flips, deletions and insertions at positions taken modulo the length."""
+    out = bytearray(blob)
+    for kind, where, arg in damage:
+        pos = where % (len(out) + 1)
+        if kind == "flip" and pos < len(out):
+            out[pos] ^= 1 << arg
+        elif kind == "delete":
+            del out[pos:pos + arg]
+        elif kind == "insert":
+            out[pos:pos] = arg
+    return bytes(out)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(("binary", "csv")),
+       damage=FILE_DAMAGE)
+def test_damaged_file_loads_or_raises_malformed_file(tmp_path, seed, fmt, damage):
+    path = tmp_path / f"r.{fmt}"
+    save_session(random_recording(random.Random(seed), max_frames=8), path, format=fmt)
+    path.write_bytes(damage_file(path.read_bytes(), damage))
+    try:
+        load_session(path)
+    except MalformedFile:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**32 - 1),
+       hand=st.integers(0, 255))
+def test_binary_frame_with_foreign_hand_byte_is_malformed(tmp_path, seed, index, hand):
+    recording = random_recording(random.Random(seed), max_frames=8)
+    if hand == recording.hand:
+        hand = (hand + 1) % 256
+    path = tmp_path / "r.bin"
+    save_session(recording, path, format="binary")
+    blob = path.read_bytes()
+    start = len(blob) - FRAME_SIZE * (index % len(recording.frames) + 1)
+    path.write_bytes(blob[:start] + with_hand_byte(blob[start:start + FRAME_SIZE], hand)
+                     + blob[start + FRAME_SIZE:])
+    with pytest.raises(MalformedFile):
         load_session(path)

@@ -122,6 +122,17 @@ def test_unsupported_version():
         decode_frame(buf)
 
 
+def test_unknown_hand_byte_is_a_frame_error():
+    from oracles import with_hand_byte
+
+    wire = encode_frame(ZERO_FRAME)
+    assert decode_frame(with_hand_byte(wire, 1)).hand == Hand.RIGHT
+    for hand in (2, 0x7F, 0xFF):
+        with pytest.raises(FrameError) as exc:
+            decode_frame(with_hand_byte(wire, hand))
+        assert exc.value.offset == 2
+
+
 def test_every_single_bit_flip_is_caught():
     rng = random.Random(41)
     from oracles import random_frame
