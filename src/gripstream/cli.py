@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, stream, record, analyze, compare, export.
 
 Exit codes: 0 success, 1 usage error, 2 data/processing error. Diagnostics
-go to stderr; data goes to stdout or the requested files. The environment
-variable GRIPSTREAM_SEED is the fallback when --seed is not given.
+go to stderr; data goes to stdout or the requested files. Each simulate setting
+comes from its flag, else the --config file, else (seed only) GRIPSTREAM_SEED,
+else the preset; compare's --seed falls back to GRIPSTREAM_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -70,38 +71,18 @@ def _check_window(window_ms: int) -> int:
 
 
 def _session_spec(args) -> simulator.SessionSpec:
-    if args.config:
-        spec = simulator.load_session_spec(args.config)
-        profile = spec.user
-        hand = spec.hand if args.hand is None else simulator.resolve_hand(profile, args.hand)
-        session = spec.session_index if args.session is None else args.session
-        duration = spec.duration_s if args.duration is None else args.duration
-        seed = spec.seed if args.seed is None else args.seed
-    else:
-        if args.user is None:
-            raise UsageError("one of --user or --config is required")
-        expertise = Expertise(args.user)
-        session = args.session if args.session is not None else 1
-        profile = simulator.preset_profile(expertise, session, user_id=args.user_id)
-        hand = simulator.resolve_hand(profile, args.hand if args.hand is not None else "dominant")
-        duration = (
-            args.duration
-            if args.duration is not None
-            else simulator.preset_duration(expertise, hand, profile.handedness)
-        )
-        seed = _resolve_seed(args.seed)
-    if args.user_id:
-        profile = simulator.UserProfile(
-            user_id=args.user_id,
-            expertise=profile.expertise,
-            sensor_models=profile.sensor_models,
-            handedness=profile.handedness,
-        )
-    if duration <= 0:
+    if not (args.user or args.config):
+        raise UsageError("one of --user or --config is required")
+    if args.duration is not None and args.duration <= 0:
         raise UsageError("--duration must be positive")
-    return simulator.SessionSpec(
-        user=profile, hand=hand, session_index=session, duration_s=duration, seed=seed
-    )
+    flags = {"user": args.user_id, "expertise": args.user, "hand": args.hand,
+             "duration": args.duration, "session": args.session, "seed": args.seed}
+    layers = [(None, {key: value for key, value in flags.items() if value is not None})]
+    if args.config:
+        layers.append((args.config, simulator.read_config(args.config)))
+    if not any("seed" in values for _, values in layers):
+        layers.append((None, {"seed": _resolve_seed(None)}))
+    return simulator.session_spec(layers)
 
 
 def _cmd_simulate(args) -> int:
@@ -289,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hand", help="left|right|dominant|nondominant")
     p.add_argument("--duration", type=float, help="session length in seconds")
     p.add_argument("--session", type=int, help="session index 1..10")
-    p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    p.add_argument("--config", help="session spec file (key = value lines)")
+    p.add_argument("--seed", type=int, help=f"RNG seed (fallback: config, ${SEED_ENV_VAR}, 0)")
+    p.add_argument("--config", help="session spec file (key = value lines); flags win over it")
     p.add_argument("--out", required=True, help="output recording path")
     p.add_argument("--format", choices=["binary", "csv"], help="default: by extension")
     p.set_defaults(func=_cmd_simulate)

@@ -38,7 +38,7 @@ from .protocol import (
     decode_frame,
     encode_frame,
 )
-from .recording import EmptyRecording, Expertise, IoFailure, SessionRecording
+from .recording import EmptyRecording, Expertise, IoFailure, MisplacedFrame, SessionRecording
 
 BINARY_MAGIC = b"GFS1"
 CSV_HEADER = (
@@ -334,8 +334,8 @@ def _from_binary(blob: bytes) -> SessionRecording:
             hand=Hand(hand_code),
             frames=frames,
         )
-    except ValueError as exc:
-        raise MalformedFile(str(exc), offset=len(blob)) from exc
+    except MisplacedFrame as exc:
+        raise MalformedFile(str(exc), offset=pos - (count - exc.index) * FRAME_SIZE) from exc
 
 
 def _write_csv(recording: SessionRecording, fh) -> None:
@@ -361,9 +361,12 @@ def _csv_int(value: str, lineno: int, column: str) -> int:
 
 
 def _csv_rows(reader):
-    """The reader's rows, with its syntax errors raised as MalformedFile."""
+    """(first file line, row) per row read; syntax errors raise MalformedFile."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedFile(str(exc), line=reader.line_num) from None
 
@@ -377,7 +380,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
         raise MalformedFile(f"{name} is not valid utf-8: {exc}") from exc
     rows = _csv_rows(csv.reader(io.StringIO(text)))
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise MalformedFile("empty file", line=1) from None
     if header != columns:
@@ -386,7 +389,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
     meta: tuple[str, Expertise, int, Hand] | None = None
     frames: list[GloveFrame] = []
     last_seq = -1
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(columns):

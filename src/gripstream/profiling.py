@@ -63,8 +63,8 @@ def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> list[t
     """(timestamp_ms, amplitude mV) for one sensor, one entry per frame."""
     if not recording.frames:
         raise EmptyRecording("recording has no frames")
-    index = sensor.index if isinstance(sensor, SensorId) else int(sensor)
-    return [(f.timestamp_ms, f.amplitude(index)) for f in recording.frames]
+    slot = (sensor if isinstance(sensor, SensorId) else SensorId.of(int(sensor))).index - 1
+    return [(f.timestamp_ms, f.amplitudes[slot]) for f in recording.frames]
 
 
 def window_profile(

@@ -18,6 +18,14 @@ class EmptyRecording(ValueError):
     """An operation that needs frames got a recording without any."""
 
 
+class MisplacedFrame(ValueError):
+    """A frame out of seq order or of the wrong hand; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class IoFailure(OSError):
     """Reading or writing a session/profile file failed at the OS level."""
 
@@ -46,13 +54,11 @@ class SessionRecording:
         if not isinstance(self.hand, Hand):
             self.hand = Hand(self.hand)
         last_seq = -1
-        for frame in self.frames:
+        for index, frame in enumerate(self.frames):
             if frame.hand != self.hand:
-                raise ValueError(
-                    f"frame seq={frame.seq} has hand {frame.hand.name}, recording is {self.hand.name}"
-                )
+                raise MisplacedFrame(f"frame seq={frame.seq} has hand {frame.hand.name}", index)
             if frame.seq <= last_seq:
-                raise ValueError(f"frames not sorted by seq at seq={frame.seq}")
+                raise MisplacedFrame(f"frames not sorted by seq at seq={frame.seq}", index)
             last_seq = frame.seq
 
     def __len__(self) -> int:

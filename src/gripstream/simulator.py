@@ -13,7 +13,9 @@ import random
 import re
 import socket
 import time
-from dataclasses import dataclass
+from collections import ChainMap
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .protocol import (
@@ -157,8 +159,8 @@ class SessionSpec:
     def __post_init__(self):
         if not 1 <= self.session_index <= SESSION_COUNT:
             raise ValueError(f"session_index must be in 1..{SESSION_COUNT}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
             raise ValueError("seed out of u64 range")
 
@@ -339,16 +341,8 @@ def preset_duration(expertise: Expertise, hand: Hand, handedness: Hand) -> float
 _OVERRIDE_KEY = re.compile(r"^sensor(\d+)(?:\.step(\d))?$")
 
 
-def load_session_spec(path) -> SessionSpec:
-    """Read a session spec from a key/value text file.
-
-    Recognized keys: ``user``, ``expertise`` (novice|trained|expert),
-    ``hand`` (left|right|dominant|nondominant), ``duration`` (seconds),
-    ``session`` (1..10), ``seed``, plus optional model overrides
-    ``sensorN = mean,sd`` or ``sensorN.stepK = mean,sd``. Lines starting
-    with ``#`` are comments. Unset duration falls back to the expertise
-    preset for the chosen hand.
-    """
+def read_config(path) -> dict[str, str]:
+    """The ``key = value`` lines of a config file, keys lower-cased; ``#`` starts a comment."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -359,49 +353,65 @@ def load_session_spec(path) -> SessionSpec:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
             entries[key.strip().lower()] = value.strip()
+    return entries
 
+
+def _override(profile: UserProfile, match: re.Match, value) -> UserProfile:
+    """``profile`` with sensor ``match[1]`` set to ``value`` at step ``match[2]`` or every step."""
+    sensor, step = int(match[1]), int(match[2] or 0)
+    if not (1 <= sensor <= SENSOR_COUNT and (match[2] is None or 1 <= step <= TASK_STEP_COUNT)):
+        raise ValueError(f"sensor must be in 1..{SENSOR_COUNT}, step in 1..{TASK_STEP_COUNT}")
     try:
-        expertise = Expertise(entries["expertise"].lower())
-    except KeyError:
-        raise ValueError(f"{path}: missing required key 'expertise'") from None
+        mean_s, sd_s = str(value).split(",")
+        pair = (float(mean_s), float(sd_s))
     except ValueError:
-        raise ValueError(f"{path}: unknown expertise {entries['expertise']!r}") from None
+        raise ValueError("override must be 'mean,sd'") from None
+    old = profile.sensor_models[sensor]
+    steps = tuple(pair if step in (0, k) else old[k - 1] for k in range(1, TASK_STEP_COUNT + 1))
+    return replace(profile, sensor_models={**profile.sensor_models, sensor: steps})
 
-    session_index = int(entries.get("session", "1"))
-    seed = int(entries.get("seed", "0"))
-    profile = preset_profile(expertise, session_index, user_id=entries.get("user"))
-    hand = resolve_hand(profile, entries.get("hand", "dominant"))
-    duration = float(entries["duration"]) if "duration" in entries else preset_duration(
-        expertise, hand, profile.handedness
-    )
 
-    models = {k: list(v) for k, v in profile.sensor_models.items()}
-    for key, value in entries.items():
-        match = _OVERRIDE_KEY.match(key)
-        if not match:
-            continue
-        sensor = int(match.group(1))
-        if not 1 <= sensor <= SENSOR_COUNT:
-            raise ValueError(f"{path}: sensor index out of range in {key!r}")
+def session_spec(layers) -> SessionSpec:
+    """The one path from settings to a SessionSpec.
+
+    ``layers`` holds ``(source, settings)`` pairs, highest precedence first;
+    ``source`` is the file a layer was read from, or None. Keys are those of
+    a config file: ``user``, ``expertise`` (required), ``hand`` (default
+    dominant), ``duration`` (default: the preset for that hand), ``session``
+    (default 1), ``seed`` (default 0) and ``sensorN[.stepK] = mean,sd``.
+    A bad value raises ValueError naming its key, and its file if it has one.
+    """
+    settings = ChainMap(*(values for _, values in layers))
+
+    # One step per setting, so that the checks of what it feeds name its key.
+    @contextmanager
+    def setting(key, default=None):
         try:
-            mean_s, sd_s = value.split(",")
-            pair = (float(mean_s), float(sd_s))
-        except ValueError:
-            raise ValueError(f"{path}: override {key!r} must be 'mean,sd'") from None
-        if match.group(2) is None:
-            models[sensor] = [pair] * TASK_STEP_COUNT
-        else:
-            step = int(match.group(2))
-            if not 1 <= step <= TASK_STEP_COUNT:
-                raise ValueError(f"{path}: step out of range in {key!r}")
-            models[sensor][step - 1] = pair
+            yield settings.get(key, default)
+        except ValueError as exc:
+            where = next(f"{source}: " if source else "" for source, vals in layers if key in vals)
+            raise ValueError(f"{where}{key} = {settings[key]}: {exc}") from None
 
-    profile = UserProfile(
-        user_id=profile.user_id,
-        expertise=expertise,
-        sensor_models={k: tuple(v) for k, v in models.items()},
-        handedness=profile.handedness,
-    )
-    return SessionSpec(
-        user=profile, hand=hand, session_index=session_index, duration_s=duration, seed=seed
-    )
+    if "expertise" not in settings:
+        files = "".join(f"{source}: " for source, _ in layers if source)
+        raise ValueError(f"{files}missing required key 'expertise'")
+    with setting("expertise") as value:
+        expertise = Expertise(str(value).lower())
+    with setting("session", 1) as value:
+        session = int(value)
+        profile = preset_profile(expertise, session, user_id=settings.get("user"))
+    with setting("hand", "dominant") as value:
+        hand = resolve_hand(profile, value)
+    for key, value in settings.items():
+        if match := _OVERRIDE_KEY.match(key):
+            with setting(key):
+                profile = _override(profile, match, value)
+    with setting("duration", preset_duration(expertise, hand, profile.handedness)) as value:
+        spec = SessionSpec(profile, hand, session, float(value), seed=0)
+    with setting("seed", 0) as value:
+        return replace(spec, seed=int(value))
+
+
+def load_session_spec(path) -> SessionSpec:
+    """Read a session spec from a config file (keys: see :func:`session_spec`)."""
+    return session_spec([(path, read_config(path))])

@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 import time
@@ -66,6 +67,91 @@ def test_simulate_config_file(tmp_path):
 def test_simulate_requires_user_or_config(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x.bin")]) == 1
     assert "--user or --config" in capsys.readouterr().err
+
+
+GOLDEN_SHA256 = [
+    (["--user", "expert", "--hand", "dominant", "--duration", "8.88", "--seed", "42"], "s.bin",
+     "47ebdb2dbce90e6a1a4f9c79be4938b5a505461883ce37f5194b4c57fe6e28af"),
+    (["--user", "expert", "--hand", "dominant", "--duration", "8.88", "--seed", "42"], "s.csv",
+     "b988c8b7212bef7841a6047e794d10b19883b3682d2a8e0e543ee2dab4576bd4"),
+    (["--user", "novice", "--session", "10", "--seed", "3"], "s.bin",
+     "83c88eb24f9f3d5b7f19937fa50d05b918037d55780ea6f4b6a48a9f342d4546"),
+]
+
+
+@pytest.mark.parametrize("flags, name, digest", GOLDEN_SHA256)
+def test_simulate_same_seed_same_bytes(tmp_path, flags, name, digest):
+    out = tmp_path / name
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture
+def novice_conf(tmp_path):
+    conf = tmp_path / "novice.conf"
+    conf.write_text("expertise = novice\nseed = 3\n", encoding="utf-8")
+    return str(conf)
+
+
+def test_simulate_session_flag_over_config_matches_flags_only(tmp_path, novice_conf):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    assert main(["simulate", "--config", novice_conf, "--session", "10", "--out", str(a)]) == 0
+    assert main(["simulate", "--user", "novice", "--session", "10", "--seed", "3",
+                 "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_hand_flag_over_config_takes_that_hands_task_time(tmp_path, novice_conf):
+    out = tmp_path / "h.bin"
+    assert main(["simulate", "--config", novice_conf, "--hand", "nondominant",
+                 "--out", str(out)]) == 0
+    recording = load_session(out)
+    assert recording.hand == Hand.LEFT  # novice preset is right-handed
+    assert len(recording.frames) == 649  # 12.99 s
+
+
+def test_simulate_user_flag_over_config(tmp_path, novice_conf):
+    out = tmp_path / "e.bin"
+    assert main(["simulate", "--config", novice_conf, "--user", "expert", "--out", str(out)]) == 0
+    recording = load_session(out)
+    assert recording.expertise == Expertise.EXPERT
+    assert len(recording.frames) == 444
+
+
+def test_simulate_seed_precedence_flag_config_env(tmp_path, monkeypatch, novice_conf):
+    unseeded = tmp_path / "unseeded.conf"
+    unseeded.write_text("expertise = novice\n", encoding="utf-8")
+    paths = {name: tmp_path / f"{name}.bin" for name in ("config", "env", "env9", "flag", "over")}
+    assert main(["simulate", "--config", novice_conf, "--out", str(paths["config"])]) == 0
+    monkeypatch.setenv("GRIPSTREAM_SEED", "3")
+    assert main(["simulate", "--config", str(unseeded), "--out", str(paths["env"])]) == 0
+    monkeypatch.setenv("GRIPSTREAM_SEED", "9")
+    assert main(["simulate", "--config", str(unseeded), "--out", str(paths["env9"])]) == 0
+    assert main(["simulate", "--config", novice_conf, "--out", str(paths["over"])]) == 0
+    assert main(["simulate", "--config", str(unseeded), "--seed", "3",
+                 "--out", str(paths["flag"])]) == 0
+    data = {name: path.read_bytes() for name, path in paths.items()}
+    assert data["env"] == data["config"] == data["over"] == data["flag"]
+    assert data["env9"] != data["env"]
+
+
+def test_simulate_bad_value_names_its_key_and_file(tmp_path, capsys, novice_conf):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("expertise = novice\nsession = abc\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "x.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"{conf}: session = abc" in err
+    # a bad flag value is not blamed on the config file
+    assert main(["simulate", "--config", novice_conf, "--session", "11",
+                 "--out", str(tmp_path / "x.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "session = 11" in err and novice_conf not in err
+
+
+def test_simulate_rejects_nonpositive_duration(tmp_path, capsys):
+    assert main(["simulate", "--user", "novice", "--duration", "0",
+                 "--out", str(tmp_path / "x.bin")]) == 1
+    assert "--duration must be positive" in capsys.readouterr().err
 
 
 def test_analyze_profile_csv(tmp_path, capsys):

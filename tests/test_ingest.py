@@ -471,6 +471,24 @@ def test_binary_rejects_trailing_garbage_and_corruption(tmp_path):
     assert exc.value.offset is not None
 
 
+def test_binary_order_and_hand_errors_give_the_frame_offset(tmp_path):
+    path = tmp_path / "r.bin"
+    save_session(make_recording(5, user_id="u"), path, format="binary")
+    blob = path.read_bytes()
+    first = len(blob) - 5 * FRAME_SIZE
+    frames = [blob[first + i * FRAME_SIZE:first + (i + 1) * FRAME_SIZE] for i in range(5)]
+    swapped = frames[:2] + [frames[3], frames[2]] + frames[4:]
+    path.write_bytes(blob[:first] + b"".join(swapped))
+    with pytest.raises(MalformedFile, match="sorted") as exc:
+        load_session(path)
+    assert exc.value.offset == first + 3 * FRAME_SIZE == 140
+    right = encode_frame(GloveFrame(Hand.RIGHT, 1, 20, (0,) * 12))
+    path.write_bytes(blob[:first] + b"".join(frames[:1] + [right] + frames[2:]))
+    with pytest.raises(MalformedFile, match="hand") as exc:
+        load_session(path)
+    assert exc.value.offset == first + FRAME_SIZE
+
+
 def test_csv_header_must_match_exactly(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER.replace("s7", "sense7") + "\n", encoding="utf-8")
@@ -505,6 +523,19 @@ def test_csv_diagnostics_carry_line_and_column(tmp_path):
     path.write_text(lines[0] + "\n", encoding="utf-8")
     with pytest.raises(MalformedFile, match="no data rows"):
         load_session(path)
+
+
+def test_csv_diagnostics_give_the_file_line_where_the_row_starts(tmp_path):
+    path = tmp_path / "r.csv"
+    save_session(make_recording(3, user_id="a\nb"), path, format="csv")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[5] == '"a'  # each row spans two lines; the third starts on line 6
+    lines[6] = lines[6].replace(",left,2,", ",left,x,", 1)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedFile) as exc:
+        load_session(path)
+    assert exc.value.line == 6
+    assert exc.value.column == "seq"
 
 
 def test_csv_timestamp_diagnostic_names_its_column_once(tmp_path):

@@ -56,6 +56,13 @@ def test_series_sensor_indexing():
     assert sensor_series(recording, SensorId.of(3))[0][1] == 3
 
 
+def test_series_rejects_sensor_outside_1_to_12():
+    recording = recording_with([range(1, 13)])
+    for sensor in (0, 13):
+        with pytest.raises(ValueError, match="sensor index"):
+            sensor_series(recording, sensor)
+
+
 def test_series_every_sensor_has_full_length():
     recording = synth(1.0)
     for sensor in range(1, 13):

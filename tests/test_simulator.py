@@ -246,6 +246,18 @@ def test_load_session_spec_errors(tmp_path):
         load_session_spec(path)
 
 
+@pytest.mark.parametrize("line", [
+    "session = abc", "session = 11", "hand = both", "duration = 0", "duration = nan",
+    "seed = -1", "sensor13 = 1,2", "sensor7.step5 = 1,2", "sensor7.step2 = -1,2",
+])
+def test_load_session_spec_error_names_key_and_file(tmp_path, line):
+    path = tmp_path / "bad.conf"
+    path.write_text(f"expertise = novice\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_session_spec(path)
+    assert str(exc.value).startswith(f"{path}: {line}: ")
+
+
 # --- streaming ---------------------------------------------------------------
 
 
