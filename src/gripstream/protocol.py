@@ -108,7 +108,7 @@ class EmptyStream(ValueError):
     """Fewer frames than an operation needs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GloveFrame:
     """One 20 ms transmission from one glove.
 
@@ -143,6 +143,17 @@ class GloveFrame:
         if not 1 <= index <= SENSOR_COUNT:
             raise ValueError(f"sensor index must be in 1..{SENSOR_COUNT}, got {index}")
         return self.amplitudes[index - 1]
+
+
+def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -> GloveFrame:
+    """A GloveFrame without ``__post_init__``'s checks, for fields valid by construction:
+    those ``decode_frame`` unpacks with ``struct``, and the synthesizer's clamped draws."""
+    frame = object.__new__(GloveFrame)
+    object.__setattr__(frame, "hand", hand)
+    object.__setattr__(frame, "seq", seq)
+    object.__setattr__(frame, "timestamp_ms", timestamp_ms)
+    object.__setattr__(frame, "amplitudes", amplitudes)
+    return frame
 
 
 def crc16(data: bytes) -> int:
@@ -180,10 +191,10 @@ def decode_frame(data: bytes) -> GloveFrame:
         raise CrcMismatch(f"crc 0x{actual:04X} != stored 0x{expected:04X}", CRC_OFFSET)
     if data[1] != FRAME_VERSION:
         raise UnsupportedVersion(f"protocol version {data[1]} not supported", 1)
-    _, _, hand, seq, timestamp_ms, *amps = _BODY.unpack(data[:CRC_OFFSET])
-    if hand >= len(_HAND_BY_CODE):
-        raise FrameError(f"unknown hand code {hand}", 2)
-    return GloveFrame(_HAND_BY_CODE[hand], seq, timestamp_ms, tuple(amps))
+    fields = _BODY.unpack_from(data)
+    if fields[2] >= len(_HAND_BY_CODE):
+        raise FrameError(f"unknown hand code {fields[2]}", 2)
+    return _trusted_frame(_HAND_BY_CODE[fields[2]], fields[3], fields[4], fields[5:])
 
 
 @dataclass(frozen=True)

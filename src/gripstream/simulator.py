@@ -23,8 +23,8 @@ from .protocol import (
     FRAMES_PER_SECOND,
     NOMINAL_INTERVAL_MS,
     SENSOR_COUNT,
-    GloveFrame,
     Hand,
+    _trusted_frame,
     encode_frame,
 )
 from .recording import Expertise, SessionRecording
@@ -139,8 +139,8 @@ class UserProfile:
             if len(steps) != TASK_STEP_COUNT:
                 raise ValueError(f"sensor {idx} needs {TASK_STEP_COUNT} (mean, sd) pairs")
             for mean, sd in steps:
-                if mean < 0 or sd < 0:
-                    raise ValueError(f"sensor {idx} has negative model parameter")
+                if not (0 <= mean < math.inf and 0 <= sd < math.inf):
+                    raise ValueError(f"sensor {idx} needs a finite, non-negative mean and sd")
 
     def model_for(self, sensor: int, step: int) -> tuple[float, float]:
         return self.sensor_models[sensor][step - 1]
@@ -173,21 +173,37 @@ def frame_count_for(duration_s: float) -> int:
 def synthesize_session(spec: SessionSpec, script: TaskScript | None = None) -> SessionRecording:
     """Generate a full recording at exact 20 ms cadence from the user's model.
 
-    Identical specs (same seed) produce byte-identical recordings.
+    Each amplitude is one ``random.Random(seed).gauss(mean, sd)`` draw per
+    sensor and frame, clamped to the u16 range and rounded. CPython's
+    Box-Muller pair is inlined (same ``random()`` draws, same order, the
+    spare normal to the next sensor), so the draws equal ``random.gauss``'s
+    and identical specs give byte-identical recordings.
     """
     script = script or default_task_script()
     count = frame_count_for(spec.duration_s)
     duration_ms = count * NOMINAL_INTERVAL_MS
-    rng = random.Random(spec.seed)
-    frames = []
+    bounds = script.boundaries()
+    # per task step, (mean, sd, mean, sd) for each two sensors that share one normal pair
+    tables = [[(*spec.user.model_for(s, step.index), *spec.user.model_for(s + 1, step.index))
+               for s in range(1, SENSOR_COUNT, 2)] for step in script.steps]
+    rand = random.Random(spec.seed).random
+    cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
+    top = float(AMPLITUDE_MAX)
+    frames, k = [], 0
     for i in range(count):
         t_ms = i * NOMINAL_INTERVAL_MS
-        step = phase_of(t_ms, script, duration_ms)
+        ratio = t_ms / duration_ms
+        while ratio >= bounds[k]:  # ratio only grows, so k stays phase_of's step - 1
+            k += 1
         amps = []
-        for sensor in range(1, SENSOR_COUNT + 1):
-            mean, sd = spec.user.model_for(sensor, step)
-            amps.append(min(AMPLITUDE_MAX, max(0, round(rng.gauss(mean, sd)))))
-        frames.append(GloveFrame(spec.hand, i, t_ms, tuple(amps)))
+        for mean0, sd0, mean1, sd1 in tables[k]:
+            x2pi = rand() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - rand()))
+            x = mean0 + cos(x2pi) * g2rad * sd0
+            amps.append(round(0.0 if x < 0.0 else top if x > top else x))
+            x = mean1 + sin(x2pi) * g2rad * sd1
+            amps.append(round(0.0 if x < 0.0 else top if x > top else x))
+        frames.append(_trusted_frame(spec.hand, i, t_ms, tuple(amps)))
     return SessionRecording(
         user_id=spec.user.user_id,
         expertise=spec.user.expertise,
@@ -379,7 +395,7 @@ def session_spec(layers) -> SessionSpec:
     a config file: ``user``, ``expertise`` (required), ``hand`` (default
     dominant), ``duration`` (default: the preset for that hand), ``session``
     (default 1), ``seed`` (default 0) and ``sensorN[.stepK] = mean,sd``.
-    A bad value raises ValueError naming its key, and its file if it has one.
+    A bad value or an unknown key raises ValueError naming the key and its file if any.
     """
     settings = ChainMap(*(values for _, values in layers))
 
@@ -406,6 +422,9 @@ def session_spec(layers) -> SessionSpec:
         if match := _OVERRIDE_KEY.match(key):
             with setting(key):
                 profile = _override(profile, match, value)
+        elif key not in ("user", "expertise", "hand", "duration", "session", "seed"):
+            with setting(key):
+                raise ValueError("unknown key")
     with setting("duration", preset_duration(expertise, hand, profile.handedness)) as value:
         spec = SessionSpec(profile, hand, session, float(value), seed=0)
     with setting("seed", 0) as value:

@@ -1,11 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here may import from gripstream's numeric internals: the CRC is
-bitwise (the package's is table-driven), the ANOVA is the per-observation
-definitional computation (the package uses balanced marginal-mean
-formulas), p-values come from scipy, and the F upper tail is evaluated by
-arbitrary-precision numerical integration of the density (the package
-uses a continued fraction).
+bitwise (the package's is ``binascii.crc_hqx``), the ANOVA is the
+per-observation definitional computation (the package uses balanced
+marginal-mean formulas), p-values come from scipy, the F upper tail is
+evaluated by arbitrary-precision numerical integration of the density (the
+package uses a continued fraction), and session synthesis calls
+``random.gauss`` once per sample (the package inlines the Gaussian pairs).
 """
 
 from __future__ import annotations
@@ -138,5 +139,38 @@ def random_recording(rng: random.Random, max_frames: int = 40):
         expertise=rng.choice(tuple(Expertise)),
         session_index=rng.randrange(1, 11),
         hand=hand,
+        frames=frames,
+    )
+
+
+def synthesize_reference(spec, script=None):
+    """The per-sample synthesis loop: one ``rng.gauss`` and one ``model_for`` per sample.
+
+    The package inlines the Gaussian pairs and builds frames unchecked; this
+    keeps the plain loop, with ``phase_of`` per frame and the checked
+    ``GloveFrame`` constructor, to compare it against.
+    """
+    from gripstream.protocol import AMPLITUDE_MAX, NOMINAL_INTERVAL_MS, SENSOR_COUNT, GloveFrame
+    from gripstream.recording import SessionRecording
+    from gripstream.simulator import default_task_script, frame_count_for, phase_of
+
+    script = script or default_task_script()
+    count = frame_count_for(spec.duration_s)
+    duration_ms = count * NOMINAL_INTERVAL_MS
+    rng = random.Random(spec.seed)
+    frames = []
+    for i in range(count):
+        t_ms = i * NOMINAL_INTERVAL_MS
+        step = phase_of(t_ms, script, duration_ms)
+        amps = []
+        for sensor in range(1, SENSOR_COUNT + 1):
+            mean, sd = spec.user.model_for(sensor, step)
+            amps.append(min(AMPLITUDE_MAX, max(0, round(rng.gauss(mean, sd)))))
+        frames.append(GloveFrame(spec.hand, i, t_ms, tuple(amps)))
+    return SessionRecording(
+        user_id=spec.user.user_id,
+        expertise=spec.user.expertise,
+        session_index=spec.session_index,
+        hand=spec.hand,
         frames=frames,
     )
