@@ -23,7 +23,7 @@ from .simulator import (
     stream_session,
     synthesize_session,
 )
-from .ingest import detect_gaps, load_session, record, save_session
+from .ingest import detect_gaps, load_session, save_session
 from .profiling import (
     GripForceProfile,
     PartialPolicy,
@@ -73,7 +73,6 @@ __all__ = [
     "preset_profile",
     "profile_export",
     "reconstruct_paper_cells",
-    "record",
     "save_session",
     "sensor_series",
     "stream_session",

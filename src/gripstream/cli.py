@@ -1,9 +1,13 @@
 """Command-line pipeline: simulate, stream, record, analyze, compare, export.
 
-Exit codes: 0 success, 1 usage error, 2 data/processing error. Diagnostics
-go to stderr; data goes to stdout or the requested files. Each simulate setting
-comes from its flag, else the --config file, else (seed only) GRIPSTREAM_SEED,
-else the preset; compare's --seed falls back to GRIPSTREAM_SEED, then 0.
+Exit codes: 0 success, 1 usage error, 2 data/processing error. A flag value
+that argparse converts (--sensor, --window-ms) is checked by the library's
+rule as it is parsed, so a bad one exits 1 before any file is read; a
+simulate setting that session_spec rejects, from a flag or a config file
+(--duration 0 included), exits 2. Diagnostics go to stderr; data goes to
+stdout or the requested files. Each simulate setting comes from its flag,
+else the --config file, else (seed only) GRIPSTREAM_SEED, else the preset;
+compare's --seed falls back to GRIPSTREAM_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import ingest, profiling, simulator, stats
-from .protocol import SENSOR_COUNT, SensorId
+from .protocol import SensorId
 from .recording import Expertise, IoFailure
 
 SEED_ENV_VAR = "GRIPSTREAM_SEED"
@@ -58,23 +62,22 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
         raise UsageError(f"endpoint port must be an integer, got {port!r}") from None
 
 
-def _check_sensor(index: int) -> SensorId:
-    if not 1 <= index <= SENSOR_COUNT:
-        raise UsageError(f"--sensor must be in 1..{SENSOR_COUNT}, got {index}")
-    return SensorId.of(index)
+def _flag(rule):
+    """An argparse ``type=`` that applies a library rule; its ValueError is a usage error."""
+    def convert(text: str):
+        try:
+            return rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _check_window(window_ms: int) -> int:
-    if window_ms <= 0 or window_ms % 20 != 0:
-        raise UsageError(f"--window-ms must be a positive multiple of 20 ms, got {window_ms}")
-    return window_ms
+_sensor_flag = _flag(lambda text: SensorId.of(int(text)))
 
 
 def _session_spec(args) -> simulator.SessionSpec:
     if not (args.user or args.config):
         raise UsageError("one of --user or --config is required")
-    if args.duration is not None and args.duration <= 0:
-        raise UsageError("--duration must be positive")
     flags = {"user": args.user_id, "expertise": args.user, "hand": args.hand,
              "duration": args.duration, "session": args.session, "seed": args.seed}
     layers = [(None, {key: value for key, value in flags.items() if value is not None})]
@@ -154,28 +157,22 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    sensor = _check_sensor(args.sensor)
-    window_ms = _check_window(args.window_ms)
     recording = ingest.load_session(args.infile)
-    series = profiling.sensor_series(recording, sensor)
+    series = profiling.sensor_series(recording, args.sensor)
     profile = profiling.window_profile(
         series,
-        window_ms=window_ms,
+        window_ms=args.window_ms,
         statistic=profiling.Statistic(args.stat),
         partial_policy=profiling.PartialPolicy(args.partial),
-        sensor=sensor,
+        sensor=args.sensor,
     )
-    text = profiling.profile_csv(profile)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {args.out}: {exc}") from exc
+        profiling.profile_export(profile, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(profiling.profile_csv(profile))
     print(
-        f"{len(profile.windows)} windows of {window_ms} ms, sensor {sensor.index} "
-        f"({sensor.label}), task time {profiling.task_time(recording)} s",
+        f"{len(profile.windows)} windows of {args.window_ms} ms, sensor {args.sensor.index} "
+        f"({args.sensor.label}), task time {profiling.task_time(recording)} s",
         file=sys.stderr,
     )
     return 0
@@ -226,7 +223,6 @@ def _cmd_compare(args) -> int:
 
     if not args.cell:
         raise UsageError("provide --reconstruct-paper or at least four --cell entries")
-    sensor = _check_sensor(args.sensor)
     parts = args.factor_names.split(",")
     if len(parts) != 2 or not all(parts):
         raise UsageError(f"--factor-names must be NAME_A,NAME_B, got {args.factor_names!r}")
@@ -240,7 +236,7 @@ def _cmd_compare(args) -> int:
             raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
         recording = ingest.load_session(path)
         pooled.setdefault((level_a, level_b), []).extend(
-            amp for _, amp in profiling.sensor_series(recording, sensor)
+            amp for _, amp in profiling.sensor_series(recording, args.sensor)
         )
     cells = {cell: stats.mean_sem(values) for cell, values in pooled.items()}
     observations = [(la, lb, v) for (la, lb), values in pooled.items() for v in values]
@@ -295,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="windowed per-sensor profile of a recording")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sensor", type=int, default=7)
-    p.add_argument("--window-ms", type=int, default=profiling.DEFAULT_WINDOW_MS)
+    p.add_argument("--sensor", type=_sensor_flag, default="7")
+    p.add_argument("--window-ms", type=_flag(lambda text: profiling.check_window(int(text))),
+                   default=str(profiling.DEFAULT_WINDOW_MS))
     p.add_argument("--stat", choices=[s.value for s in profiling.Statistic], default="mean")
     p.add_argument(
         "--partial", choices=[p.value for p in profiling.PartialPolicy], default="drop",
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cell", action="append", default=[], metavar="LEVELA:LEVELB=PATH",
         help="recording file for one factor-level combination (repeat)",
     )
-    p.add_argument("--sensor", type=int, default=7)
+    p.add_argument("--sensor", type=_sensor_flag, default="7")
     p.add_argument("--factor-names", default="A,B")
     p.add_argument("--out", help="ANOVA table CSV path")
     p.set_defaults(func=_cmd_compare)

@@ -232,18 +232,6 @@ class SessionRecorder:
         ]
 
 
-def record(host: str = "127.0.0.1", port: int = 0, *, user_id: str, expertise: Expertise,
-           session_index: int, connections: int = 1,
-           timeout: float | None = None) -> list[SessionRecording]:
-    """Bind, accept ``connections`` glove streams, and return their recordings."""
-    recorder = SessionRecorder(
-        host, port,
-        user_id=user_id, expertise=expertise, session_index=session_index,
-        connections=connections, timeout=timeout,
-    )
-    return recorder.run()
-
-
 def save_session(recording: SessionRecording, path, format: str | None = None) -> None:
     """Write a recording to ``path`` as ``binary`` or ``csv``.
 
@@ -255,8 +243,9 @@ def save_session(recording: SessionRecording, path, format: str | None = None) -
         raise ValueError(f"unknown format {format!r}")
     try:
         if fmt == "binary":
+            blob = _to_binary(recording)
             with open(path, "wb") as fh:
-                fh.write(_to_binary(recording))
+                fh.write(blob)
         else:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 _write_csv(recording, fh)
@@ -280,6 +269,8 @@ def _to_binary(recording: SessionRecording) -> bytes:
     user = recording.user_id.encode("utf-8")
     if len(user) > 0xFFFF:
         raise ValueError("user_id too long to persist")
+    if not 0 <= recording.session_index <= 0xFFFFFFFF:
+        raise ValueError(f"session_index out of u32 range: {recording.session_index}")
     out = bytearray(BINARY_MAGIC)
     out += struct.pack("<H", len(user))
     out += user

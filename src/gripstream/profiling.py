@@ -67,6 +67,15 @@ def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> list[t
     return [(f.timestamp_ms, f.amplitudes[slot]) for f in recording.frames]
 
 
+def check_window(window_ms: int) -> int:
+    """``window_ms`` if it is a positive multiple of the 20 ms cadence, else BadWindow."""
+    if window_ms <= 0 or window_ms % NOMINAL_INTERVAL_MS != 0:
+        raise BadWindow(
+            f"window_ms must be a positive multiple of {NOMINAL_INTERVAL_MS}, got {window_ms}"
+        )
+    return window_ms
+
+
 def window_profile(
     series,
     window_ms: int = DEFAULT_WINDOW_MS,
@@ -85,10 +94,7 @@ def window_profile(
     samples = list(series)
     if not samples:
         raise EmptySeries("cannot profile an empty series")
-    if window_ms <= 0 or window_ms % NOMINAL_INTERVAL_MS != 0:
-        raise BadWindow(
-            f"window_ms must be a positive multiple of {NOMINAL_INTERVAL_MS}, got {window_ms}"
-        )
+    check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 

@@ -137,13 +137,6 @@ class GloveFrame:
             if not 0 <= a <= AMPLITUDE_MAX:
                 raise ValueError(f"amplitude s{i + 1} out of u16 range: {a}")
 
-    def amplitude(self, sensor: int | SensorId) -> int:
-        """Reading of one sensor (1-based index or SensorId), in mV."""
-        index = sensor.index if isinstance(sensor, SensorId) else sensor
-        if not 1 <= index <= SENSOR_COUNT:
-            raise ValueError(f"sensor index must be in 1..{SENSOR_COUNT}, got {index}")
-        return self.amplitudes[index - 1]
-
 
 def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -> GloveFrame:
     """A GloveFrame without ``__post_init__``'s checks, for fields valid by construction:

@@ -48,15 +48,11 @@ class InvalidN(ValueError):
     """Observation count below 1."""
 
 
-class StreamError(OSError):
-    """Base for transport failures while streaming a session."""
-
-
-class ConnectionRefused(StreamError):
+class ConnectionRefused(OSError):
     """The receiving endpoint could not be reached; nothing was sent."""
 
 
-class ConnectionLost(StreamError):
+class ConnectionLost(OSError):
     """The connection dropped mid-stream. ``frames_sent`` were delivered."""
 
     def __init__(self, message: str, frames_sent: int):
@@ -358,7 +354,7 @@ _OVERRIDE_KEY = re.compile(r"^sensor(\d+)(?:\.step(\d))?$")
 
 
 def read_config(path) -> dict[str, str]:
-    """The ``key = value`` lines of a config file, keys lower-cased; ``#`` starts a comment."""
+    """``key = value`` lines of a config file, each key once, lower-cased; ``#`` opens a comment."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -368,7 +364,10 @@ def read_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            entries[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            entries[key] = value.strip()
     return entries
 
 

@@ -1,4 +1,4 @@
-"""perfbench's result line: a traced run ends in JSON with a finite figure for every layer."""
+"""perfbench's result line: each run ends in JSON with a finite figure for every declared metric."""
 
 import json
 import math
@@ -6,21 +6,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_traced_study_run_prints_every_per_layer_metric(tmp_path):
+@pytest.mark.parametrize("workload, trace, metrics", [
+    ("study", 1, "per_layer"),
+    ("capture", 0, "end_to_end"),
+    ("convert", 0, "end_to_end"),
+], ids=["study-traced", "capture", "convert"])
+def test_run_ends_in_a_complete_result_line(tmp_path, workload, trace, metrics):
     (tmp_path / "src").symlink_to(REPO / "src", target_is_directory=True)
     proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", "study",
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())[metrics]
     for metric in declared:
         value = result["metrics"][metric["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), metric["name"]

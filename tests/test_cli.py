@@ -2,6 +2,7 @@ import hashlib
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -150,8 +151,8 @@ def test_simulate_bad_value_names_its_key_and_file(tmp_path, capsys, novice_conf
 
 def test_simulate_rejects_nonpositive_duration(tmp_path, capsys):
     assert main(["simulate", "--user", "novice", "--duration", "0",
-                 "--out", str(tmp_path / "x.bin")]) == 1
-    assert "--duration must be positive" in capsys.readouterr().err
+                 "--out", str(tmp_path / "x.bin")]) == 2
+    assert "duration = 0.0: duration_s must be positive" in capsys.readouterr().err
 
 
 def test_analyze_profile_csv(tmp_path, capsys):
@@ -176,8 +177,13 @@ def test_analyze_rejects_bad_window(tmp_path, capsys):
     assert "multiple of 20" in capsys.readouterr().err
 
 
-def test_analyze_rejects_bad_sensor(tmp_path, capsys):
-    code = main(["analyze", "--in", str(tmp_path / "missing.bin"), "--sensor", "13"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--in", "missing.bin"],
+    ["compare", "--cell", "a:b=missing.bin"],
+], ids=["analyze", "compare"])
+def test_rejects_bad_sensor(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # validation must fire before missing.bin is read
+    code = main(command + ["--sensor", "13"])
     assert code == 1
     assert "--sensor" in capsys.readouterr().err
 
@@ -316,6 +322,15 @@ def test_export_csv_syntax_error_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("gripstream: ")
     assert "Traceback" not in err
+
+
+def test_export_rejects_session_index_binary_cannot_hold(tmp_path, capsys):
+    src, out = tmp_path / "neg.csv", tmp_path / "neg.bin"
+    save_session(replace(constant_recording(), session_index=-1), src)
+    assert main(["export", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gripstream: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):

@@ -166,9 +166,6 @@ def test_frame_validation():
         GloveFrame(Hand.LEFT, 0, 0, (-1,) + (0,) * 11)
     with pytest.raises(ValueError):
         GloveFrame(Hand.LEFT, 2**32, 0, (0,) * 12)
-    frame = frame_at(0, 0, amps=range(1, 13))
-    assert frame.amplitude(7) == 7
-    assert frame.amplitude(SensorId.of(12)) == 12
 
 
 def test_cadence_exact_spacing_is_clean():

@@ -1,4 +1,5 @@
 import math
+import re
 import socket
 import threading
 
@@ -243,6 +244,9 @@ def test_load_session_spec_errors(tmp_path):
         load_session_spec(path)
     path.write_text("just some text\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key = value"):
+        load_session_spec(path)
+    path.write_text("expertise = novice\nseed = 3\nduration = 1\nseed = 4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: key 'seed' given twice$"):
         load_session_spec(path)
 
 
