@@ -44,41 +44,6 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaTable",
-    "CadenceReport",
-    "CellSummary",
-    "Expertise",
-    "FRAME_SIZE",
-    "GloveFrame",
-    "GripForceProfile",
-    "Hand",
-    "NOMINAL_INTERVAL_MS",
-    "PartialPolicy",
-    "SENSOR_COUNT",
-    "SensorId",
-    "SessionRecording",
-    "SessionSpec",
-    "Statistic",
-    "TaskScript",
-    "UserProfile",
-    "calibrate_to_cell",
-    "decode_frame",
-    "detect_gaps",
-    "encode_frame",
-    "f_upper_tail",
-    "load_session",
-    "mean_sem",
-    "phase_of",
-    "preset_profile",
-    "profile_export",
-    "reconstruct_paper_cells",
-    "save_session",
-    "sensor_series",
-    "stream_session",
-    "synthesize_session",
-    "task_time",
-    "two_way_anova",
-    "validate_cadence",
-    "window_profile",
-]
+# every public name imported above, without the submodules those imports bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(stats)))

@@ -1,13 +1,14 @@
 """Command-line pipeline: simulate, stream, record, analyze, compare, export.
 
 Exit codes: 0 success, 1 usage error, 2 data/processing error. A flag value
-that argparse converts (--sensor, --window-ms) is checked by the library's
-rule as it is parsed, so a bad one exits 1 before any file is read; a
-simulate setting that session_spec rejects, from a flag or a config file
-(--duration 0 included), exits 2. Diagnostics go to stderr; data goes to
-stdout or the requested files. Each simulate setting comes from its flag,
-else the --config file, else (seed only) GRIPSTREAM_SEED, else the preset;
-compare's --seed falls back to GRIPSTREAM_SEED, then 0.
+that argparse converts (--sensor, --window-ms, --speed, record's --session)
+is checked by the library's rule as it is parsed, so a bad one exits 1
+before any file is read or socket bound; a simulate setting that
+session_spec rejects, from a flag or a config file (--duration 0 included),
+exits 2. Diagnostics go to stderr; data goes to stdout or the requested
+files. Each simulate setting comes from its flag, else the --config file,
+else (seed only) GRIPSTREAM_SEED, else the preset; compare's --seed falls
+back to GRIPSTREAM_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def _flag(rule):
 _sensor_flag = _flag(lambda text: SensorId.of(int(text)))
 
 
+@_flag
+def _speed_flag(text: str) -> float:
+    try:
+        return simulator.check_speed(math.inf if text.lower() in ("max", "inf") else float(text))
+    except ValueError:  # float's own message names neither form the flag takes
+        raise ValueError(f"must be a positive number or 'max', got {text!r}") from None
+
+
 def _session_spec(args) -> simulator.SessionSpec:
     if not (args.user or args.config):
         raise UsageError("one of --user or --config is required")
@@ -103,17 +112,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stream(args) -> int:
     endpoint = _parse_endpoint(args.to)
-    if args.speed.lower() in ("max", "inf"):
-        speed = math.inf
-    else:
-        try:
-            speed = float(args.speed)
-        except ValueError:
-            raise UsageError(f"--speed must be a number or 'max', got {args.speed!r}") from None
-    if not speed > 0:
-        raise UsageError(f"--speed must be positive, got {args.speed}")
     recording = ingest.load_session(args.infile)
-    report = simulator.stream_session(recording, endpoint, speed=speed)
+    report = simulator.stream_session(recording, endpoint, speed=args.speed)
     print(f"sent {report.frames_sent} frames in {report.wall_time_s:.3f}s")
     return 0
 
@@ -213,7 +213,8 @@ def _cmd_compare(args) -> int:
         print(
             "note: the headline interaction F of 188.53 reported for this comparison\n"
             "cannot be rebuilt from cell means and SEMs alone; the closed-form\n"
-            "expectation for this reconstruction is F ~= 101. Degrees of freedom,\n"
+            "expectation for this reconstruction is F = "
+            f"{stats.closed_form_interaction_f(stats.REFERENCE_CELLS):.2f}. Degrees of freedom,\n"
             "significance, and the cell summaries are reproduced.",
             file=sys.stderr,
         )
@@ -275,14 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream", help="replay a saved recording to a socket")
     p.add_argument("--in", dest="infile", required=True, help="recording to send")
     p.add_argument("--to", required=True, help="receiver HOST:PORT")
-    p.add_argument("--speed", default="1.0", help="pacing factor; 'max' = no pacing")
+    p.add_argument("--speed", type=_speed_flag, default="1.0",
+                   help="pacing factor; 'max' = no pacing")
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("record", help="receive glove streams and save recordings")
     p.add_argument("--listen", default="127.0.0.1:0", help="bind HOST:PORT (port 0 = ephemeral)")
     p.add_argument("--user-id", default="user")
     p.add_argument("--expertise", choices=[e.value for e in Expertise], required=True)
-    p.add_argument("--session", type=int, default=1)
+    p.add_argument("--session", type=_flag(lambda text: simulator.check_session(int(text))),
+                   default="1", help="session index 1..10")
     p.add_argument("--connections", type=int, default=1, help="gloves expected")
     p.add_argument("--timeout", type=float, help="overall deadline (s); what arrived is kept")
     p.add_argument("--out-dir", default=".")

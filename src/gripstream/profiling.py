@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import islice
+from operator import gt, itemgetter
 
 from .protocol import NOMINAL_INTERVAL_MS, SensorId
 from .recording import EmptyRecording, IoFailure, SessionRecording
@@ -98,26 +101,25 @@ def window_profile(
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 
-    t0 = samples[0][0]
-    last_t = t0
+    times = list(map(itemgetter(0), samples))
+    if any(map(gt, times, islice(times, 1, None))):
+        last_t, t = next(pair for pair in zip(times, times[1:]) if pair[0] > pair[1])
+        raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
+    values = list(map(itemgetter(1), samples))
+    t0 = times[0]
     expected = window_ms // NOMINAL_INTERVAL_MS
-    buckets: dict[int, list[int]] = {}
-    for t, value in samples:
-        if t < last_t:
-            raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
-        last_t = t
-        buckets.setdefault((t - t0) // window_ms, []).append(value)
-
-    windows = []
-    for index in range(max(buckets) + 1):
-        values = buckets.get(index, [])
-        if partial_policy is PartialPolicy.DROP_INCOMPLETE and len(values) < expected:
+    windows, hi = [], 0
+    for index in range((times[-1] - t0) // window_ms + 1):
+        lo, hi = hi, bisect_left(times, t0 + (index + 1) * window_ms, hi)
+        count = hi - lo
+        if partial_policy is PartialPolicy.DROP_INCOMPLETE and count < expected:
             continue
-        if values:
-            value = max(values) if statistic is Statistic.PEAK else sum(values) / len(values)
+        if count:
+            window = values[lo:hi]
+            value = max(window) if statistic is Statistic.PEAK else sum(window) / count
         else:
             value = float("nan")
-        windows.append(ProfileWindow(index, t0 + index * window_ms, value, len(values)))
+        windows.append(ProfileWindow(index, t0 + index * window_ms, value, count))
     return GripForceProfile(sensor, window_ms, statistic, tuple(windows))
 
 

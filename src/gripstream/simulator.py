@@ -40,6 +40,20 @@ DEFAULT_STEP_DESCRIPTIONS = (
 )
 
 
+def check_session(session_index: int) -> int:
+    """``session_index`` if it is one of the study's sessions 1..SESSION_COUNT, else ValueError."""
+    if not 1 <= session_index <= SESSION_COUNT:
+        raise ValueError(f"session_index must be in 1..{SESSION_COUNT}")
+    return session_index
+
+
+def check_speed(speed: float) -> float:
+    """``speed`` if it is a positive pacing factor (inf: no pacing), else ValueError."""
+    if not speed > 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    return speed
+
+
 class OutOfRange(ValueError):
     """Timestamp outside the session duration."""
 
@@ -153,8 +167,7 @@ class SessionSpec:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.session_index <= SESSION_COUNT:
-            raise ValueError(f"session_index must be in 1..{SESSION_COUNT}")
+        check_session(self.session_index)
         if not 0 < self.duration_s < math.inf:
             raise ValueError("duration_s must be positive and finite")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
@@ -238,8 +251,7 @@ def stream_session(
     nominal schedule rather than sleeping per frame, so drift does not
     accumulate.
     """
-    if not speed > 0:
-        raise ValueError("speed must be positive")
+    check_speed(speed)
     interval_s = 0.0 if math.isinf(speed) else NOMINAL_INTERVAL_MS / 1000.0 / speed
     try:
         sock = socket.create_connection(endpoint, timeout=10.0)
@@ -310,8 +322,7 @@ def preset_profile(
     cell_n: int = DEFAULT_CELL_N,
 ) -> UserProfile:
     """Amplitude model for an expertise level at a given session index."""
-    if not 1 <= session_index <= SESSION_COUNT:
-        raise ValueError(f"session_index must be in 1..{SESSION_COUNT}")
+    check_session(session_index)
     (m0, s0), (m1, s1) = S7_SESSION_CELLS[expertise]
     w = (session_index - 1) / (SESSION_COUNT - 1)
     mean, sd = calibrate_to_cell(m0 + w * (m1 - m0), s0 + w * (s1 - s0), cell_n)

@@ -12,7 +12,8 @@ cell means m_ij,
 Each effect is tested by F = MS_effect / MS_error with the upper tail of
 the F distribution, evaluated through the regularized incomplete beta
 function. Only balanced designs are accepted; anything else is a hard
-error rather than a silent approximation.
+error rather than a silent approximation. Sums run through ``math.fsum``
+over C iterators, bit-identical to the per-sample form written above.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 from .recording import Expertise
 from .simulator import DEFAULT_CELL_N, S7_SESSION_CELLS, calibrate_to_cell
@@ -68,17 +71,21 @@ class CellSummary:
     degenerate: bool = False
 
 
+def _ss_about(values, centre: float) -> float:
+    """sum((v - centre) ** 2 for v in values), summed exactly."""
+    return math.fsum(map(pow, map(sub, values, repeat(centre)), repeat(2)))
+
+
 def mean_sem(values) -> CellSummary:
     """Arithmetic mean and SEM (unbiased sd / sqrt(n)) of a sample."""
-    values = [float(v) for v in values]
+    values = list(map(float, values))
     n = len(values)
     if n == 0:
         raise EmptyInput("cannot summarize zero values")
     mean = math.fsum(values) / n
     if n == 1:
         return CellSummary(mean, 0.0, 1, degenerate=True)
-    variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return CellSummary(mean, math.sqrt(variance / n), n)
+    return CellSummary(mean, math.sqrt(_ss_about(values, mean) / (n - 1) / n), n)
 
 
 @dataclass(frozen=True)
@@ -150,15 +157,17 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
     as None ("not applicable"), with p = 1 when the effect sum of squares
     is zero as well (no variance anywhere, nothing to reject).
     """
-    cells: dict[tuple, list[float]] = {}
-    levels_a: list = []
-    levels_b: list = []
+    cells: dict[tuple, list] = {}
     for level_a, level_b, value in observations:
-        if level_a not in levels_a:
-            levels_a.append(level_a)
-        if level_b not in levels_b:
-            levels_b.append(level_b)
-        cells.setdefault((level_a, level_b), []).append(float(value))
+        try:
+            cells[level_a, level_b].append(value)
+        except KeyError:
+            cells[level_a, level_b] = [value]
+    for vals in cells.values():  # in place: one cell's second list at a time
+        vals[:] = map(float, vals)
+    # a level's first cell key comes from its first observation
+    levels_a = list(dict.fromkeys(la for la, _ in cells))
+    levels_b = list(dict.fromkeys(lb for _, lb in cells))
 
     if len(levels_a) < 2 or len(levels_b) < 2:
         raise ValueError(
@@ -177,8 +186,9 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
 
     a, b = len(levels_a), len(levels_b)
     total = a * b * n
-    grand = math.fsum(math.fsum(vals) for vals in cells.values()) / total
-    cell_mean = {cell: math.fsum(vals) / n for cell, vals in cells.items()}
+    cell_sum = {cell: math.fsum(vals) for cell, vals in cells.items()}
+    grand = math.fsum(cell_sum.values()) / total
+    cell_mean = {cell: s / n for cell, s in cell_sum.items()}
     row_mean = {la: math.fsum(cell_mean[(la, lb)] for lb in levels_b) / b for la in levels_a}
     col_mean = {lb: math.fsum(cell_mean[(la, lb)] for la in levels_a) / a for lb in levels_b}
 
@@ -189,9 +199,7 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
         for la in levels_a
         for lb in levels_b
     )
-    ss_err = math.fsum(
-        math.fsum((v - cell_mean[cell]) ** 2 for v in vals) for cell, vals in cells.items()
-    )
+    ss_err = math.fsum(_ss_about(vals, cell_mean[cell]) for cell, vals in cells.items())
 
     df_a, df_b = a - 1, b - 1
     df_ab, df_err = df_a * df_b, total - a * b
@@ -304,6 +312,23 @@ REFERENCE_CELLS: dict[tuple[str, str], tuple[float, float]] = {
 }
 
 
+def closed_form_interaction_f(cells) -> float:
+    """Interaction F expected from (mean, SEM) per cell of a balanced design, any n.
+
+    With n per cell, MS_AB = n * sum(r_ij^2) / df_AB for the interaction
+    residuals r_ij = m_ij - r_i - c_j + g, and MS_error = n * mean(SEM^2),
+    so n cancels: F = sum(r_ij^2) / df_AB / mean(SEM^2).
+    """
+    means = {cell: mean for cell, (mean, _) in cells.items()}
+    levels_a, levels_b = dict.fromkeys(la for la, _ in means), dict.fromkeys(lb for _, lb in means)
+    row = {la: math.fsum(means[la, lb] for lb in levels_b) / len(levels_b) for la in levels_a}
+    col = {lb: math.fsum(means[la, lb] for la in levels_a) / len(levels_a) for lb in levels_b}
+    grand = math.fsum(means.values()) / len(means)
+    ss = math.fsum((m - row[la] - col[lb] + grand) ** 2 for (la, lb), m in means.items())
+    mean_sem_sq = math.fsum(sem**2 for _, sem in cells.values()) / len(cells)
+    return ss / ((len(levels_a) - 1) * (len(levels_b) - 1)) / mean_sem_sq
+
+
 @dataclass(frozen=True)
 class Reconstruction:
     table: AnovaTable
@@ -321,8 +346,9 @@ def reconstruct_paper_cells(n_per_cell: int = DEFAULT_CELL_N, seed: int = 0) -> 
 
     Note the reported headline F statistic for this comparison (188.53)
     is not recoverable from cell means and SEMs alone: the closed-form
-    expectation for this reconstruction is F ~= 101. Degrees of freedom,
-    significance and the cell summaries themselves are reproducible.
+    expectation for this reconstruction is
+    ``closed_form_interaction_f(REFERENCE_CELLS)`` = 306.25 / 3.02 = 101.41.
+    Degrees of freedom, significance and the cell summaries are reproducible.
     """
     if n_per_cell < 2:
         raise InsufficientReplication(f"need n_per_cell >= 2, got {n_per_cell}")

@@ -5,8 +5,10 @@ bitwise (the package's is ``binascii.crc_hqx``), the ANOVA is the
 per-observation definitional computation (the package uses balanced
 marginal-mean formulas), p-values come from scipy, the F upper tail is
 evaluated by arbitrary-precision numerical integration of the density (the
-package uses a continued fraction), and session synthesis calls
-``random.gauss`` once per sample (the package inlines the Gaussian pairs).
+package uses a continued fraction), session synthesis calls
+``random.gauss`` once per sample (the package inlines the Gaussian pairs),
+and the balanced ANOVA, the cell summaries and the window profiles loop
+over samples in Python (the package runs those sums in C iterators).
 """
 
 from __future__ import annotations
@@ -174,3 +176,141 @@ def synthesize_reference(spec, script=None):
         hand=spec.hand,
         frames=frames,
     )
+
+
+# The per-sample statistics loops, as they stood before the package moved
+# them onto C iterators: a list-membership test per observation, a
+# ``(v - m) ** 2`` generator and a dict ``setdefault`` per sample. The
+# package must give results whose every float has the same ``repr``.
+
+
+def two_way_anova_reference(observations, factor_names=("A", "B")):
+    """``stats.two_way_anova`` grouping and summing one observation at a time."""
+    from gripstream.stats import (
+        AnovaTable,
+        EffectRow,
+        EmptyCell,
+        InsufficientReplication,
+        UnbalancedDesign,
+        f_upper_tail,
+    )
+
+    cells: dict[tuple, list[float]] = {}
+    levels_a: list = []
+    levels_b: list = []
+    for level_a, level_b, value in observations:
+        if level_a not in levels_a:
+            levels_a.append(level_a)
+        if level_b not in levels_b:
+            levels_b.append(level_b)
+        cells.setdefault((level_a, level_b), []).append(float(value))
+
+    if len(levels_a) < 2 or len(levels_b) < 2:
+        raise ValueError(
+            f"need >= 2 levels per factor, got {len(levels_a)} x {len(levels_b)}"
+        )
+    for la in levels_a:
+        for lb in levels_b:
+            if (la, lb) not in cells:
+                raise EmptyCell(f"no observations for cell ({la!r}, {lb!r})")
+    counts = {cell: len(vals) for cell, vals in cells.items()}
+    if len(set(counts.values())) != 1:
+        raise UnbalancedDesign(counts)
+    n = next(iter(counts.values()))
+    if n < 2:
+        raise InsufficientReplication(f"every cell needs >= 2 observations, got n={n}")
+
+    a, b = len(levels_a), len(levels_b)
+    total = a * b * n
+    grand = math.fsum(math.fsum(vals) for vals in cells.values()) / total
+    cell_mean = {cell: math.fsum(vals) / n for cell, vals in cells.items()}
+    row_mean = {la: math.fsum(cell_mean[(la, lb)] for lb in levels_b) / b for la in levels_a}
+    col_mean = {lb: math.fsum(cell_mean[(la, lb)] for la in levels_a) / a for lb in levels_b}
+
+    ss_a = n * b * math.fsum((row_mean[la] - grand) ** 2 for la in levels_a)
+    ss_b = n * a * math.fsum((col_mean[lb] - grand) ** 2 for lb in levels_b)
+    ss_ab = n * math.fsum(
+        (cell_mean[(la, lb)] - row_mean[la] - col_mean[lb] + grand) ** 2
+        for la in levels_a
+        for lb in levels_b
+    )
+    ss_err = math.fsum(
+        math.fsum((v - cell_mean[cell]) ** 2 for v in vals) for cell, vals in cells.items()
+    )
+
+    df_a, df_b = a - 1, b - 1
+    df_ab, df_err = df_a * df_b, total - a * b
+    ms_err = ss_err / df_err
+
+    def tested(name: str, ss: float, df: int) -> EffectRow:
+        ms = ss / df
+        if ms_err == 0.0:
+            return EffectRow(name, ss, df, ms, None, 1.0 if ss == 0.0 else None)
+        f = ms / ms_err
+        return EffectRow(name, ss, df, ms, f, f_upper_tail(f, df, df_err))
+
+    name_a, name_b = factor_names
+    return AnovaTable(
+        effect_a=tested(name_a, ss_a, df_a),
+        effect_b=tested(name_b, ss_b, df_b),
+        interaction=tested(f"{name_a} x {name_b}", ss_ab, df_ab),
+        error=EffectRow("error", ss_err, df_err, ms_err),
+    )
+
+
+def mean_sem_reference(values):
+    """``stats.mean_sem`` with a ``(v - mean) ** 2`` generator."""
+    from gripstream.stats import CellSummary, EmptyInput
+
+    values = [float(v) for v in values]
+    n = len(values)
+    if n == 0:
+        raise EmptyInput("cannot summarize zero values")
+    mean = math.fsum(values) / n
+    if n == 1:
+        return CellSummary(mean, 0.0, 1, degenerate=True)
+    variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return CellSummary(mean, math.sqrt(variance / n), n)
+
+
+def window_profile_reference(series, window_ms=2000, statistic="mean",
+                             partial_policy="drop", sensor=None):
+    """``profiling.window_profile`` bucketing each sample through a dict."""
+    from gripstream.profiling import (
+        EmptySeries,
+        GripForceProfile,
+        PartialPolicy,
+        ProfileWindow,
+        Statistic,
+        check_window,
+    )
+    from gripstream.protocol import NOMINAL_INTERVAL_MS
+
+    samples = list(series)
+    if not samples:
+        raise EmptySeries("cannot profile an empty series")
+    check_window(window_ms)
+    statistic = Statistic(statistic)
+    partial_policy = PartialPolicy(partial_policy)
+
+    t0 = samples[0][0]
+    last_t = t0
+    expected = window_ms // NOMINAL_INTERVAL_MS
+    buckets: dict[int, list[int]] = {}
+    for t, value in samples:
+        if t < last_t:
+            raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
+        last_t = t
+        buckets.setdefault((t - t0) // window_ms, []).append(value)
+
+    windows = []
+    for index in range(max(buckets) + 1):
+        values = buckets.get(index, [])
+        if partial_policy is PartialPolicy.DROP_INCOMPLETE and len(values) < expected:
+            continue
+        if values:
+            value = max(values) if statistic is Statistic.PEAK else sum(values) / len(values)
+        else:
+            value = float("nan")
+        windows.append(ProfileWindow(index, t0 + index * window_ms, value, len(values)))
+    return GripForceProfile(sensor, window_ms, statistic, tuple(windows))

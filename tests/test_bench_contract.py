@@ -31,3 +31,11 @@ def test_run_ends_in_a_complete_result_line(tmp_path, workload, trace, metrics):
     for metric in declared:
         value = result["metrics"][metric["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), metric["name"]
+    if workload == "study":
+        # the statistics layers get their figures from the traced rounds
+        # themselves, not from the sweep that fills in unloaded layers
+        rounds = json.loads((tmp_path / ".perfbench_run" / "study" / "worker.json").read_text())
+        for name in ("stats.two_way_anova_us_per_obs", "stats.mean_sem_us_per_value",
+                     "stats.f_upper_tail_us", "profiling.window_profile_us_per_sample"):
+            value = rounds["layers"][name]
+            assert isinstance(value, (int, float)) and math.isfinite(value), name

@@ -224,6 +224,7 @@ def test_compare_reconstruct(tmp_path, capsys):
     assert "F(1, 2880)" in captured.out
     assert "p = " in captured.out
     assert "188.53" in captured.err  # discrepancy note
+    assert "F = 101.41" in captured.err  # computed by stats.closed_form_interaction_f
     rows = out.read_text(encoding="utf-8").splitlines()
     assert rows[0] == "effect,ss,df,ms,f,p"
     assert len(rows) == 5
@@ -369,3 +370,31 @@ def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):
     assert main(["analyze", "--in", str(src), "--out", str(direct)]) == 0
     assert main(["analyze", "--in", str(captured[0]), "--out", str(relayed)]) == 0
     assert direct.read_bytes() == relayed.read_bytes()
+
+
+@pytest.mark.parametrize("session", ["-1", "11"])
+def test_record_rejects_session_outside_the_study_before_listening(tmp_path, capsys,
+                                                                   monkeypatch, session):
+    from gripstream import ingest
+
+    def no_listener(*args, **kwargs):
+        raise AssertionError("a listener was bound")
+
+    monkeypatch.setattr(ingest, "SessionRecorder", no_listener)
+    outdir = tmp_path / "captured"
+    code = main(["record", "--listen", "127.0.0.1:0", "--expertise", "expert",
+                 "--session", session, "--timeout", "1", "--out-dir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "argument --session: session_index must be in 1..10" in err
+    assert "listening on" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("speed", ["0", "abc", "-2", "nan"])
+def test_stream_rejects_bad_speed_before_reading_or_connecting(tmp_path, capsys, speed):
+    code = main(["stream", "--in", str(tmp_path / "missing.bin"), "--to", "127.0.0.1:1",
+                 "--speed", speed])
+    assert code == 1  # a missing --in would exit 2: the flag is checked first
+    assert f"argument --speed: must be a positive number or 'max', got '{speed}'" in (
+        capsys.readouterr().err)

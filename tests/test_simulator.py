@@ -16,6 +16,8 @@ from gripstream.simulator import (
     TaskStep,
     UserProfile,
     calibrate_to_cell,
+    check_session,
+    check_speed,
     default_task_script,
     frame_count_for,
     load_session_spec,
@@ -318,6 +320,22 @@ def test_stream_rejects_bad_speed():
     recording = synthesize_session(spec_for(0.1))
     with pytest.raises(ValueError):
         stream_session(recording, ("127.0.0.1", 1), speed=0)
+
+
+@pytest.mark.parametrize("session", [0, -1, 11])
+def test_one_session_rule_for_spec_and_preset(session):
+    for check in (check_session, lambda s: preset_profile(Expertise.NOVICE, s),
+                  lambda s: SessionSpec(preset_profile(Expertise.NOVICE), Hand.RIGHT, s, 1.0, 0)):
+        with pytest.raises(ValueError, match=r"session_index must be in 1\.\.10"):
+            check(session)
+    assert [check_session(s) for s in (1, 10)] == [1, 10]
+
+
+@pytest.mark.parametrize("speed", [0, -1.0, math.nan, -math.inf])
+def test_one_speed_rule(speed):
+    with pytest.raises(ValueError, match="speed must be positive"):
+        check_speed(speed)
+    assert check_speed(math.inf) == math.inf
 
 
 def test_stream_connection_lost_reports_sent_count():

@@ -11,6 +11,7 @@ from gripstream.stats import (
     InvalidDf,
     REFERENCE_CELLS,
     UnbalancedDesign,
+    closed_form_interaction_f,
     f_upper_tail,
     mean_sem,
     reconstruct_paper_cells,
@@ -269,6 +270,31 @@ def test_reconstruction_f_is_near_closed_form_not_headline():
         assert 40 < f < 165
         assert abs(f - 188.53) > 20
     assert abs(sum(fs) / len(fs) - 101.4) < 15
+
+
+def test_closed_form_interaction_f_is_the_sum_written_out():
+    # residuals m_ij - r_i - c_j + g are +-8.75 in every cell of the reference design
+    residuals = (98 - 88 - 346 + 344.75, 78 - 88 - 343.5 + 344.75,
+                 594 - 601.5 - 346 + 344.75, 609 - 601.5 - 343.5 + 344.75)
+    assert residuals == (8.75, -8.75, -8.75, 8.75)
+    by_hand = sum(r**2 for r in residuals) / ((1.2**2 + 1.6**2 + 1.8**2 + 2.2**2) / 4)
+    assert by_hand == pytest.approx(306.25 / 3.02, abs=1e-12)
+    assert abs(closed_form_interaction_f(REFERENCE_CELLS) - by_hand) < 1e-12
+    assert abs(closed_form_interaction_f(REFERENCE_CELLS) - 188.53) > 80
+
+
+@pytest.mark.parametrize("n", [2, 10, 720])
+def test_closed_form_interaction_f_is_the_anova_f_of_cells_with_those_summaries(n):
+    # n/2 values at mean + d and n/2 at mean - d give SEM^2 = d^2 / (n - 1)
+    observations = [
+        (a, b, mean + sign * sem * math.sqrt(n - 1))
+        for (a, b), (mean, sem) in REFERENCE_CELLS.items()
+        for sign in (1, -1) for _ in range(n // 2)
+    ]
+    oracle = brute_force_anova(observations)
+    assert rel_close(oracle["f"]["ab"], closed_form_interaction_f(REFERENCE_CELLS))
+    assert rel_close(two_way_anova(observations).interaction.f,
+                     closed_form_interaction_f(REFERENCE_CELLS))
 
 
 def test_reconstruction_custom_n():

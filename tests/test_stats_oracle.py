@@ -1,0 +1,103 @@
+"""The statistics layers against their per-sample loops in oracles: same repr, same errors."""
+
+from itertools import accumulate
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gripstream.profiling import PartialPolicy, Statistic, window_profile
+from gripstream.stats import mean_sem, two_way_anova
+from oracles import mean_sem_reference, two_way_anova_reference, window_profile_reference
+
+AMPLITUDES = st.integers(0, 65535)
+READINGS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def outcome(fn, *args):
+    """The result's repr, or the class and message of what ``fn`` raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # every failure must match the reference's
+        return type(exc), str(exc)
+
+
+@st.composite
+def balanced_designs(draw):
+    a, b, n = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        levels_a, levels_b = [f"g{i}" for i in range(a)], [f"s{j}" for j in range(b)]
+    else:
+        levels_a, levels_b = list(range(a)), list(range(b))
+    values = draw(st.lists(st.one_of(AMPLITUDES, READINGS) if draw(st.booleans()) else AMPLITUDES,
+                           min_size=a * b * n, max_size=a * b * n))
+    cells = [(la, lb) for la in levels_a for lb in levels_b]
+    observations = [(*cells[i // n], v) for i, v in enumerate(values)]
+    draw(st.randoms(use_true_random=False)).shuffle(observations)
+    return observations
+
+
+@st.composite
+def series(draw):
+    window_ms = draw(st.integers(1, 100)) * 20
+    steps = st.one_of(st.sampled_from((0, 20, 20, 20, 40)),
+                      st.integers(1, 3).map(lambda k: k * window_ms))
+    start = draw(st.integers(0, 10**6))
+    times = list(accumulate(draw(st.lists(steps, max_size=300)), initial=start))
+    values = draw(st.lists(AMPLITUDES if draw(st.booleans()) else READINGS,
+                           min_size=len(times), max_size=len(times)))
+    return list(zip(times, values)), window_ms
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(balanced_designs())
+def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
+    assert outcome(two_way_anova, observations) == outcome(two_way_anova_reference, observations)
+    cells = {}
+    for la, lb, v in observations:
+        cells.setdefault((la, lb), []).append(v)
+    for values in [*cells.values(), [v for _, _, v in observations]]:
+        assert outcome(mean_sem, values) == outcome(mean_sem_reference, values)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(series(), st.sampled_from(list(Statistic)), st.sampled_from(list(PartialPolicy)))
+def test_window_profile_matches_the_per_sample_loop(drawn, statistic, policy):
+    samples, window_ms = drawn
+    assert (outcome(window_profile, samples, window_ms, statistic, policy)
+            == outcome(window_profile_reference, samples, window_ms, statistic, policy))
+
+
+def cells_of(counts):
+    return [(la, lb, float(k)) for (la, lb), n in counts.items() for k in range(n)]
+
+
+@pytest.mark.parametrize("observations", [
+    cells_of({("a", "x"): 2, ("a", "y"): 2, ("b", "x"): 2}),
+    cells_of({("a", "x"): 2, ("a", "y"): 2, ("b", "x"): 2, ("b", "y"): 3}),
+    cells_of({("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1, ("b", "y"): 1}),
+    cells_of({("a", "x"): 2, ("a", "y"): 2}),
+    [],
+], ids=["missing-cell", "unbalanced", "n=1", "one-level", "empty"])
+def test_anova_errors_match_the_reference(observations):
+    got = outcome(two_way_anova, observations)
+    assert isinstance(got, tuple)
+    assert got == outcome(two_way_anova_reference, observations)
+
+
+def test_mean_sem_errors_and_single_value_match_the_reference():
+    for values in ([], [3], [2.5]):
+        assert outcome(mean_sem, values) == outcome(mean_sem_reference, values)
+    assert isinstance(outcome(mean_sem, []), tuple)
+
+
+@pytest.mark.parametrize("samples, window_ms", [
+    ([(0, 1), (20, 2), (10, 3)], 40),
+    ([(0, 1), (20, 2), (20, 3), (40, 4), (0, 5)], 20),
+    ([], 2000),
+    ([(0, 1)], 30),
+], ids=["decreasing", "decreasing-after-equal", "empty", "bad-window"])
+def test_window_profile_errors_match_the_reference(samples, window_ms):
+    got = outcome(window_profile, samples, window_ms)
+    assert isinstance(got, tuple)
+    assert got == outcome(window_profile_reference, samples, window_ms)
