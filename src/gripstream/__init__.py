@@ -18,7 +18,6 @@ from .simulator import (
     TaskScript,
     UserProfile,
     calibrate_to_cell,
-    phase_of,
     preset_profile,
     stream_session,
     synthesize_session,

@@ -25,20 +25,33 @@ import selectors
 import socket
 import struct
 import time
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat
+from operator import ge, itemgetter, sub
 
 from .protocol import (
     FRAME_MAGIC,
     FRAME_SIZE,
     SENSOR_COUNT,
     FrameError,
+    Frames,
     GloveFrame,
     Hand,
     decode_frame,
-    encode_frame,
+    decode_frames,
+    encode_frame,  # noqa: F401  re-exported: perfbench/layers.py wraps ingest.encode_frame
+    encode_frames,
 )
-from .recording import EmptyRecording, Expertise, IoFailure, MisplacedFrame, SessionRecording
+from .recording import (
+    EmptyRecording,
+    Expertise,
+    IoFailure,
+    MisplacedFrame,
+    SessionRecording,
+    first_misplaced,
+)
 
 BINARY_MAGIC = b"GFS1"
 CSV_HEADER = (
@@ -49,6 +62,7 @@ CSV_HEADER = (
 _EXPERTISE_CODES = {Expertise.NOVICE: 0, Expertise.TRAINED: 1, Expertise.EXPERT: 2}
 _EXPERTISE_BY_CODE = {v: k for k, v in _EXPERTISE_CODES.items()}
 _HEADER_FIXED = struct.Struct("<BBII")  # expertise, hand, session_index, frame count
+_RESYNC_RUN = 8  # frames decoded in bulk right after a resync; doubles with each whole run
 
 
 class BindFailure(OSError):
@@ -77,14 +91,20 @@ class FrameStreamDecoder:
     """Incremental decoder for back-to-back wire frames on a byte stream.
 
     Feed received chunks with :meth:`feed`; decoded frames come back in
-    order. Only a 41-octet window that starts with the magic and passes
-    :func:`decode_frame` yields a frame. After any failure the decoder
-    moves to the next magic byte, one past the failed position, so an
-    intact frame right after a corrupted one is still found. ``errors``
-    counts corruption events: a failure while the stream was aligned
-    counts once, and further failures count nothing until a valid frame
-    realigns the stream. Bytes of an incomplete trailing window wait in
-    :attr:`pending` for the next chunk.
+    order, as :class:`~.protocol.Frames`. Only a 41-octet window that
+    starts with the magic and passes :func:`decode_frame` yields a frame.
+    After any failure the decoder moves to the next magic byte, one past the
+    failed position, so an intact frame right after a corrupted one is
+    still found. ``errors`` counts corruption events: a failure while the
+    stream was aligned counts once, and further failures count nothing
+    until a valid frame realigns the stream. Bytes of an incomplete
+    trailing window wait in :attr:`pending` for the next chunk.
+
+    While aligned, runs of frames are decoded in bulk (:func:`decode_frames`);
+    from the first frame that fails until a window decodes again, the
+    decoder scans window by window with :func:`decode_frame`. A run after a
+    resync starts short and doubles, so a stream dense with damage is not
+    decoded in bulk over and over.
     """
 
     def __init__(self):
@@ -92,29 +112,38 @@ class FrameStreamDecoder:
         self._aligned = True
         self.errors = 0
 
-    def feed(self, data: bytes) -> list[GloveFrame]:
+    def feed(self, data: bytes) -> Frames:
         buf = self._buf
         buf.extend(data)
-        frames = []
-        pos = 0
+        parts = []
+        pos, run = 0, len(buf)
         while pos + FRAME_SIZE <= len(buf):
-            if buf[pos] == FRAME_MAGIC:
+            if self._aligned:
+                want = min(run, (len(buf) - pos) // FRAME_SIZE)
+                frames = decode_frames(buf, pos, want)
+                parts.append(frames)
+                pos += len(frames) * FRAME_SIZE
+                if len(frames) == want:
+                    run *= 2
+                    continue
+                run = _RESYNC_RUN
+                self.errors += 1
+                self._aligned = False
+            elif buf[pos] == FRAME_MAGIC:
                 try:
-                    frames.append(decode_frame(buf[pos:pos + FRAME_SIZE]))
+                    frame = decode_frame(buf[pos:pos + FRAME_SIZE])
                 except FrameError:
                     pass
                 else:
+                    parts.append(Frames.of((frame,)))
                     self._aligned = True
                     pos += FRAME_SIZE
                     continue
-            if self._aligned:
-                self.errors += 1
-                self._aligned = False
             pos = buf.find(FRAME_MAGIC, pos + 1)
             if pos < 0:
                 pos = len(buf)
         del buf[:pos]
-        return frames
+        return Frames.concat(parts)
 
     @property
     def pending(self) -> int:
@@ -138,14 +167,11 @@ def detect_gaps(recording: SessionRecording) -> GapReport:
     """Find seq holes. Expected count spans first..last seq inclusive."""
     if not recording.frames:
         raise EmptyRecording("cannot detect gaps in an empty recording")
-    gaps = []
-    frames = recording.frames
-    for prev, cur in zip(frames, frames[1:]):
-        hole = cur.seq - prev.seq - 1
-        if hole > 0:
-            gaps.append((prev.seq, hole))
-    expected = frames[-1].seq - frames[0].seq + 1
-    return GapReport(expected, len(frames), tuple(gaps))
+    seq = recording.frames.seq
+    # seq strictly increases, so a hole is >= 0 and true exactly when frames are missing
+    holes = list(map(sub, map(sub, islice(seq, 1, None), seq), repeat(1)))
+    return GapReport(seq[-1] - seq[0] + 1, len(seq),
+                     tuple(zip(compress(seq, holes), compress(holes, holes))))
 
 
 @dataclass
@@ -153,19 +179,30 @@ class _Peer:
     """What one accepted connection has delivered so far."""
 
     decoder: FrameStreamDecoder = field(default_factory=FrameStreamDecoder)
-    frames: list[GloveFrame] = field(default_factory=list)
+    kept: list[Frames] = field(default_factory=list)
     hand: Hand | None = None
+    last_seq: int = -1
     dropped: int = 0
 
     def take(self, chunk: bytes) -> None:
         """Keep each decoded frame of the first hand seen whose seq increases."""
-        for frame in self.decoder.feed(chunk):
-            if self.hand is None:
-                self.hand = frame.hand
-            if frame.hand != self.hand or (self.frames and frame.seq <= self.frames[-1].seq):
-                self.dropped += 1
-            else:
-                self.frames.append(frame)
+        frames = self.decoder.feed(chunk)
+        if not frames:
+            return
+        if self.hand is None:
+            self.hand = frames[0].hand
+        if frames.seq[0] <= self.last_seq or first_misplaced(frames, self.hand) < len(frames):
+            kept = []
+            for frame in frames:
+                if frame.hand != self.hand or frame.seq <= self.last_seq:
+                    self.dropped += 1
+                else:
+                    kept.append(frame)
+                    self.last_seq = frame.seq
+            frames = Frames.of(kept)
+        else:
+            self.last_seq = frames.seq[-1]
+        self.kept.append(frames)
 
 
 class SessionRecorder:
@@ -226,7 +263,7 @@ class SessionRecorder:
                         selector.unregister(key.fileobj)
                         key.fileobj.close()
         return [
-            SessionRecording(*self._meta, peer.hand, peer.frames,
+            SessionRecording(*self._meta, peer.hand, Frames.concat(peer.kept),
                              decode_errors=peer.decoder.errors, dropped_frames=peer.dropped)
             for peer in peers if peer.hand is not None
         ]
@@ -280,8 +317,7 @@ def _to_binary(recording: SessionRecording) -> bytes:
         recording.session_index,
         len(recording.frames),
     )
-    for frame in recording.frames:
-        out += encode_frame(frame)
+    out += encode_frames(recording.frames)
     return bytes(out)
 
 
@@ -307,14 +343,17 @@ def _from_binary(blob: bytes) -> SessionRecording:
     if hand_code not in (0, 1):
         raise MalformedFile(f"unknown hand code {hand_code}", offset=pos + 1)
     pos += _HEADER_FIXED.size
-    frames = []
-    for i in range(count):
-        raw = need(pos, FRAME_SIZE)
+    whole = min(count, (len(blob) - pos) // FRAME_SIZE)
+    frames = decode_frames(blob, pos, whole)
+    if len(frames) < whole:
+        bad = pos + len(frames) * FRAME_SIZE
         try:
-            frames.append(decode_frame(raw))
+            decode_frame(blob[bad:bad + FRAME_SIZE])
         except FrameError as exc:
-            raise MalformedFile(f"frame {i} is corrupt: {exc}", offset=pos) from exc
-        pos += FRAME_SIZE
+            raise MalformedFile(f"frame {len(frames)} is corrupt: {exc}", offset=bad) from exc
+    pos += whole * FRAME_SIZE
+    if whole < count:
+        raise MalformedFile("file ends mid-field", offset=len(blob))
     if pos != len(blob):
         raise MalformedFile(f"{len(blob) - pos} trailing bytes after last frame", offset=pos)
     try:
@@ -332,16 +371,11 @@ def _from_binary(blob: bytes) -> SessionRecording:
 def _write_csv(recording: SessionRecording, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for frame in recording.frames:
-        writer.writerow([
-            recording.user_id,
-            recording.expertise.value,
-            recording.session_index,
-            recording.hand.name.lower(),
-            frame.seq,
-            frame.timestamp_ms,
-            *frame.amplitudes,
-        ])
+    meta = (recording.user_id, recording.expertise.value, recording.session_index,
+            recording.hand.name.lower())
+    frames = recording.frames
+    amplitudes = (frames.amplitudes[k::SENSOR_COUNT] for k in range(SENSOR_COUNT))
+    writer.writerows(zip(*map(repeat, meta), frames.seq, frames.timestamp_ms, *amplitudes))
 
 
 def _csv_int(value: str, lineno: int, column: str) -> int:
@@ -362,6 +396,44 @@ def _csv_rows(reader):
         raise MalformedFile(str(exc), line=reader.line_num) from None
 
 
+_HAND_BY_NAME = {"left": Hand.LEFT, "right": Hand.RIGHT}
+_CSV_META, _CSV_SEQ, _CSV_TIMESTAMP = itemgetter(0, 1, 2, 3), itemgetter(4), itemgetter(5)
+_CSV_AMPLITUDES = itemgetter(slice(6, None))
+_CSV_BLOCK = 4096  # rows split at once; bounds the memory the split rows take
+
+
+def _csv_columns(text: str) -> SessionRecording | None:
+    """The recording in ``text`` read a column at a time, or None if any row is not plain.
+
+    Plain rows have all 18 fields, one and the same metadata text, integer
+    fields in range and increasing seq. For anything else the per-row parser
+    runs, which accepts what it can and names the line and column of what it cannot.
+    """
+    columns = CSV_HEADER.split(",")
+    reader = csv.reader(io.StringIO(text))
+    seq, timestamps, amplitudes, metas = array("I"), array("Q"), array("H"), set()
+    try:
+        if next(reader) != columns:
+            return None
+        for rows in iter(lambda: list(islice(reader, _CSV_BLOCK)), []):
+            if set(map(len, rows)) != {len(columns)}:
+                return None
+            metas.update(map(_CSV_META, rows))
+            seq.extend(map(int, map(_CSV_SEQ, rows)))
+            timestamps.extend(map(int, map(_CSV_TIMESTAMP, rows)))
+            amplitudes.extend(map(int, chain.from_iterable(map(_CSV_AMPLITUDES, rows))))
+        ((user_id, expertise_text, session_text, hand_text),) = metas  # else ValueError
+        expertise = Expertise(expertise_text.lower())
+        hand = _HAND_BY_NAME[hand_text.lower()]
+        session_index = int(session_text)
+    except (csv.Error, StopIteration, ValueError, KeyError, OverflowError):
+        return None
+    if any(map(ge, seq, islice(seq, 1, None))):
+        return None
+    frames = Frames(bytes((hand,)) * len(seq), seq, timestamps, amplitudes)
+    return SessionRecording(user_id, expertise, session_index, hand, frames)
+
+
 def _parse_csv(blob: bytes, name: str) -> SessionRecording:
     columns = CSV_HEADER.split(",")
     amp_columns = columns[-SENSOR_COUNT:]
@@ -369,6 +441,9 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{name} is not valid utf-8: {exc}") from exc
+    recording = _csv_columns(text)
+    if recording is not None:
+        return recording
     rows = _csv_rows(csv.reader(io.StringIO(text)))
     try:
         _, header = next(rows)

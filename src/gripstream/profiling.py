@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import islice
 from operator import gt, itemgetter
 
-from .protocol import NOMINAL_INTERVAL_MS, SensorId
+from .protocol import NOMINAL_INTERVAL_MS, SENSOR_COUNT, SensorId
 from .recording import EmptyRecording, IoFailure, SessionRecording
 
 PROFILE_CSV_HEADER = "window_index,start_ms,value_mv,sample_count"
@@ -67,7 +67,8 @@ def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> list[t
     if not recording.frames:
         raise EmptyRecording("recording has no frames")
     slot = (sensor if isinstance(sensor, SensorId) else SensorId.of(int(sensor))).index - 1
-    return [(f.timestamp_ms, f.amplitudes[slot]) for f in recording.frames]
+    frames = recording.frames
+    return list(zip(frames.timestamp_ms, frames.amplitudes[slot::SENSOR_COUNT]))
 
 
 def check_window(window_ms: int) -> int:
@@ -127,9 +128,8 @@ def task_time(recording: SessionRecording) -> float:
     """Session duration in seconds: (last - first timestamp + one 20 ms slot) / 1000."""
     if not recording.frames:
         raise EmptyRecording("recording has no frames")
-    first = recording.frames[0].timestamp_ms
-    last = recording.frames[-1].timestamp_ms
-    return (last - first + NOMINAL_INTERVAL_MS) / 1000
+    times = recording.frames.timestamp_ms
+    return (times[-1] - times[0] + NOMINAL_INTERVAL_MS) / 1000
 
 
 def _format_mv(value: float) -> str:

@@ -12,14 +12,23 @@ self-delimiting on a byte stream:
 All multi-byte fields are little-endian. Fixed length, leading magic and
 the trailing CRC allow a receiver to resynchronize after corruption
 without any extra framing.
+
+In memory, frames are columns (:class:`Frames`). :func:`encode_frames` and
+:func:`decode_frames` move whole columns to and from the wire form one
+byte lane at a time: octet k of every frame at once, by strided slicing.
 """
 
 from __future__ import annotations
 
 import binascii
 import struct
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, eq, gt, itemgetter, ne, sub
 
 FRAME_MAGIC = 0xA5
 FRAME_VERSION = 0x01
@@ -33,6 +42,7 @@ FRAMES_PER_SECOND = 1000 // NOMINAL_INTERVAL_MS
 _BODY = struct.Struct("<BBBIQ12H")
 _CRC = struct.Struct("<H")
 assert _BODY.size == CRC_OFFSET and _BODY.size + _CRC.size == FRAME_SIZE
+_CRC_BODIES = struct.Struct(f"{CRC_OFFSET}s{_CRC.size}x")  # the octets one CRC covers
 
 
 class Hand(IntEnum):
@@ -149,6 +159,82 @@ def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -
     return frame
 
 
+class Frames(Sequence):
+    """Frames stored as parallel columns; reading an item builds its GloveFrame.
+
+    ``hands`` holds one hand code octet per frame, ``seq`` an ``array('I')``,
+    ``timestamp_ms`` an ``array('Q')`` and ``amplitudes`` an ``array('H')``
+    of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
+    The constructor takes the columns as given; :meth:`of` builds them from
+    GloveFrames. The first iteration builds every GloveFrame and keeps
+    them, so a caller that iterates again does not build them again.
+    Frames compare equal to Frames with equal columns and to any sequence
+    of equal GloveFrames.
+    """
+
+    __slots__ = ("hands", "seq", "timestamp_ms", "amplitudes", "_built")
+
+    def __init__(self, hands: bytes, seq: array, timestamp_ms: array, amplitudes: array):
+        self.hands = hands
+        self.seq = seq
+        self.timestamp_ms = timestamp_ms
+        self.amplitudes = amplitudes
+        self._built = None
+
+    @classmethod
+    def of(cls, frames) -> "Frames":
+        """The columns of an iterable of GloveFrame."""
+        frames = list(frames)
+        return cls(bytes(map(attrgetter("hand"), frames)),
+                   array("I", map(attrgetter("seq"), frames)),
+                   array("Q", map(attrgetter("timestamp_ms"), frames)),
+                   array("H", chain.from_iterable(map(attrgetter("amplitudes"), frames))))
+
+    @classmethod
+    def concat(cls, parts) -> "Frames":
+        """One Frames holding the frames of each of ``parts`` in turn."""
+        parts = list(parts)
+        if len(parts) == 1:
+            return parts[0]
+        columns = array("I"), array("Q"), array("H")
+        for part in parts:
+            for column, values in zip(columns, (part.seq, part.timestamp_ms, part.amplitudes)):
+                column.extend(values)
+        return cls(b"".join(part.hands for part in parts), *columns)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        first = i * SENSOR_COUNT
+        return _trusted_frame(_HAND_BY_CODE[self.hands[i]], self.seq[i], self.timestamp_ms[i],
+                              tuple(self.amplitudes[first:first + SENSOR_COUNT]))
+
+    def __iter__(self):
+        if self._built is None:
+            rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
+            self._built = list(map(_trusted_frame, map(_HAND_BY_CODE.__getitem__, self.hands),
+                                   self.seq, self.timestamp_ms, rows))
+        return iter(self._built)
+
+    def __eq__(self, other):
+        if isinstance(other, Frames):
+            return (self.seq == other.seq and self.hands == other.hands
+                    and self.timestamp_ms == other.timestamp_ms
+                    and self.amplitudes == other.amplitudes)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Frames({list(self)!r})"
+
+
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xorout."""
     return binascii.crc_hqx(data, 0xFFFF)
@@ -190,6 +276,85 @@ def decode_frame(data: bytes) -> GloveFrame:
     return _trusted_frame(_HAND_BY_CODE[fields[2]], fields[3], fields[4], fields[5:])
 
 
+# (first octet, octets per frame) of the multi-byte fields a Frames column holds
+_SEQ_LANES, _TIMESTAMP_LANES, _AMPLITUDE_LANES, _CRC_LANES = (3, 4), (7, 8), (15, 24), (39, 2)
+_BIG_ENDIAN_HOST = sys.byteorder == "big"
+
+
+def _wire_octets(column: array) -> bytes:
+    """A column's items as little-endian octets."""
+    if _BIG_ENDIAN_HOST:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _from_wire(typecode: str, octets) -> array:
+    column = array(typecode, octets)
+    if _BIG_ENDIAN_HOST:
+        column.byteswap()
+    return column
+
+
+def _scatter(wire: bytearray, lanes: tuple[int, int], octets: bytes) -> None:
+    """Write field octets, ``width`` per frame, into their lanes of every frame."""
+    first, width = lanes
+    for k in range(width):
+        wire[first + k::FRAME_SIZE] = octets[k::width]
+
+
+def _gather(wire: bytes, lanes: tuple[int, int]) -> bytearray:
+    """A field's octets, ``width`` per frame, read from its lanes of every frame."""
+    first, width = lanes
+    octets = bytearray(len(wire) // FRAME_SIZE * width)
+    for k in range(width):
+        octets[k::width] = wire[first + k::FRAME_SIZE]
+    return octets
+
+
+def _crcs(wire) -> array:
+    """The CRC of each frame's first 39 octets."""
+    bodies = map(itemgetter(0), _CRC_BODIES.iter_unpack(wire))
+    return array("H", map(binascii.crc_hqx, bodies, repeat(0xFFFF)))
+
+
+def encode_frames(frames: Frames) -> bytearray:
+    """The wire form of every frame, back to back: :func:`encode_frame` of each, at once."""
+    n = len(frames)
+    wire = bytearray(n * FRAME_SIZE)
+    wire[0::FRAME_SIZE] = bytes((FRAME_MAGIC,)) * n
+    wire[1::FRAME_SIZE] = bytes((FRAME_VERSION,)) * n
+    wire[2::FRAME_SIZE] = frames.hands
+    _scatter(wire, _SEQ_LANES, _wire_octets(frames.seq))
+    _scatter(wire, _TIMESTAMP_LANES, _wire_octets(frames.timestamp_ms))
+    _scatter(wire, _AMPLITUDE_LANES, _wire_octets(frames.amplitudes))
+    _scatter(wire, _CRC_LANES, _wire_octets(_crcs(wire)))
+    return wire
+
+
+def decode_frames(data, start: int, n: int) -> Frames:
+    """Decode the ``n`` back-to-back frames at ``data[start:]`` up to the first that fails.
+
+    The result holds the frames before the first one that
+    :func:`decode_frame` rejects for its magic, CRC, version or hand octet:
+    ``len(result) < n`` means that frame ``len(result)`` is such a frame.
+    """
+    wire = data[start:start + n * FRAME_SIZE]
+    hands = bytes(wire[2::FRAME_SIZE])
+    stored_crcs = _from_wire("H", _gather(wire, _CRC_LANES))
+    valid = min(
+        n - len(wire[0::FRAME_SIZE].lstrip(bytes((FRAME_MAGIC,)))),
+        n - len(wire[1::FRAME_SIZE].lstrip(bytes((FRAME_VERSION,)))),
+        n - len(hands.lstrip(bytes(_HAND_BY_CODE))),
+        next(compress(count(), map(ne, _crcs(wire), stored_crcs)), n),
+    )
+    if valid < n:
+        wire, hands = wire[:valid * FRAME_SIZE], hands[:valid]
+    return Frames(hands, _from_wire("I", _gather(wire, _SEQ_LANES)),
+                  _from_wire("Q", _gather(wire, _TIMESTAMP_LANES)),
+                  _from_wire("H", _gather(wire, _AMPLITUDE_LANES)))
+
+
 @dataclass(frozen=True)
 class CadenceReport:
     """Deviations of a frame stream from the nominal 20 ms cadence."""
@@ -206,17 +371,19 @@ class CadenceReport:
 def validate_cadence(frames, tolerance_ms: float = 0) -> CadenceReport:
     """Check inter-frame timestamp gaps against the 20 ms nominal spacing.
 
-    Frames must be ordered by seq. Every adjacent pair whose gap deviates
-    from the nominal spacing by more than ``tolerance_ms`` is reported.
+    ``frames`` is a Frames or an iterable of GloveFrame, ordered by seq.
+    Every adjacent pair whose gap deviates from the nominal spacing by more
+    than ``tolerance_ms`` is reported.
     """
-    frames = list(frames)
+    if not isinstance(frames, Frames):
+        frames = Frames.of(frames)
     if len(frames) < 2:
         raise EmptyStream(f"cadence needs at least 2 frames, got {len(frames)}")
     if tolerance_ms < 0:
         raise ValueError("tolerance_ms must be >= 0")
-    violations = []
-    for prev, cur in zip(frames, frames[1:]):
-        gap = cur.timestamp_ms - prev.timestamp_ms
-        if abs(gap - NOMINAL_INTERVAL_MS) > tolerance_ms:
-            violations.append((cur.seq, gap))
+    times = frames.timestamp_ms
+    gaps = list(map(sub, islice(times, 1, None), times))
+    deviations = map(abs, map(sub, gaps, repeat(NOMINAL_INTERVAL_MS)))
+    late = list(map(gt, deviations, repeat(tolerance_ms)))
+    violations = zip(compress(islice(frames.seq, 1, None), late), compress(gaps, late))
     return CadenceReport(NOMINAL_INTERVAL_MS, tolerance_ms, tuple(violations))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count, islice
+from operator import ge
 
-from .protocol import GloveFrame, Hand
+from .protocol import Frames, Hand
 
 
 class Expertise(str, Enum):
@@ -30,21 +32,30 @@ class IoFailure(OSError):
     """Reading or writing a session/profile file failed at the OS level."""
 
 
+def first_misplaced(frames: Frames, hand: Hand) -> int:
+    """Index of the first frame not of ``hand`` or not after its predecessor's seq, else len."""
+    seq = frames.seq
+    return min(len(frames) - len(frames.hands.lstrip(bytes((hand,)))),
+               next(compress(count(1), map(ge, seq, islice(seq, 1, None))), len(frames)))
+
+
 @dataclass
 class SessionRecording:
     """All frames captured from one glove during one task session.
 
     Frames are ordered by strictly increasing seq (gaps allowed; see
-    ingest.detect_gaps) and all belong to ``hand``. ``decode_errors`` and
-    ``dropped_frames`` are receive-side tallies; they do not take part in
-    equality and are not persisted.
+    ingest.detect_gaps) and all belong to ``hand``. ``frames`` may be given
+    as any iterable of GloveFrame and is kept as columns, a read-only
+    :class:`~.protocol.Frames` view that builds GloveFrames only when read.
+    ``decode_errors`` and ``dropped_frames`` are receive-side tallies; they
+    do not take part in equality and are not persisted.
     """
 
     user_id: str
     expertise: Expertise
     session_index: int
     hand: Hand
-    frames: list[GloveFrame]
+    frames: Frames
     decode_errors: int = field(default=0, compare=False)
     dropped_frames: int = field(default=0, compare=False)
 
@@ -53,13 +64,14 @@ class SessionRecording:
             self.expertise = Expertise(self.expertise)
         if not isinstance(self.hand, Hand):
             self.hand = Hand(self.hand)
-        last_seq = -1
-        for index, frame in enumerate(self.frames):
+        if not isinstance(self.frames, Frames):
+            self.frames = Frames.of(self.frames)
+        index = first_misplaced(self.frames, self.hand)
+        if index < len(self.frames):
+            frame = self.frames[index]
             if frame.hand != self.hand:
                 raise MisplacedFrame(f"frame seq={frame.seq} has hand {frame.hand.name}", index)
-            if frame.seq <= last_seq:
-                raise MisplacedFrame(f"frames not sorted by seq at seq={frame.seq}", index)
-            last_seq = frame.seq
+            raise MisplacedFrame(f"frames not sorted by seq at seq={frame.seq}", index)
 
     def __len__(self) -> int:
         return len(self.frames)

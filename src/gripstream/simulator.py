@@ -13,6 +13,7 @@ import random
 import re
 import socket
 import time
+from array import array
 from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -20,12 +21,13 @@ from typing import Mapping
 
 from .protocol import (
     AMPLITUDE_MAX,
+    FRAME_SIZE,
     FRAMES_PER_SECOND,
     NOMINAL_INTERVAL_MS,
     SENSOR_COUNT,
+    Frames,
     Hand,
-    _trusted_frame,
-    encode_frame,
+    encode_frames,
 )
 from .recording import Expertise, SessionRecording
 
@@ -52,10 +54,6 @@ def check_speed(speed: float) -> float:
     if not speed > 0:
         raise ValueError(f"speed must be positive, got {speed}")
     return speed
-
-
-class OutOfRange(ValueError):
-    """Timestamp outside the session duration."""
 
 
 class InvalidN(ValueError):
@@ -116,17 +114,6 @@ def default_task_script(fractions=DEFAULT_STEP_FRACTIONS) -> TaskScript:
             for i, (desc, frac) in enumerate(zip(DEFAULT_STEP_DESCRIPTIONS, fractions))
         )
     )
-
-
-def phase_of(t_ms: int, script: TaskScript, duration_ms: int) -> int:
-    """Task step (1..4) active at ``t_ms``. Step boundaries belong to the later step."""
-    if not 0 <= t_ms < duration_ms:
-        raise OutOfRange(f"t_ms={t_ms} outside session of {duration_ms} ms")
-    ratio = t_ms / duration_ms
-    for step, bound in zip(script.steps, script.boundaries()):
-        if ratio < bound:
-            return step.index
-    return script.steps[-1].index
 
 
 # (mean, sd) per task step, keyed by 1-based sensor index
@@ -198,13 +185,11 @@ def synthesize_session(spec: SessionSpec, script: TaskScript | None = None) -> S
     rand = random.Random(spec.seed).random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
     top = float(AMPLITUDE_MAX)
-    frames, k = [], 0
-    for i in range(count):
-        t_ms = i * NOMINAL_INTERVAL_MS
+    amps, k = [], 0
+    for t_ms in range(0, duration_ms, NOMINAL_INTERVAL_MS):
         ratio = t_ms / duration_ms
-        while ratio >= bounds[k]:  # ratio only grows, so k stays phase_of's step - 1
+        while ratio >= bounds[k]:  # ratio only grows, so k is the active step - 1
             k += 1
-        amps = []
         for mean0, sd0, mean1, sd1 in tables[k]:
             x2pi = rand() * tau
             g2rad = sqrt(-2.0 * log(1.0 - rand()))
@@ -212,7 +197,8 @@ def synthesize_session(spec: SessionSpec, script: TaskScript | None = None) -> S
             amps.append(round(0.0 if x < 0.0 else top if x > top else x))
             x = mean1 + sin(x2pi) * g2rad * sd1
             amps.append(round(0.0 if x < 0.0 else top if x > top else x))
-        frames.append(_trusted_frame(spec.hand, i, t_ms, tuple(amps)))
+    frames = Frames(bytes((spec.hand,)) * count, array("I", range(count)),
+                    array("Q", range(0, duration_ms, NOMINAL_INTERVAL_MS)), array("H", amps))
     return SessionRecording(
         user_id=spec.user.user_id,
         expertise=spec.user.expertise,
@@ -247,30 +233,39 @@ def stream_session(
 ) -> TransmissionReport:
     """Send a recording's frames over a stream socket at 20 ms / speed pacing.
 
-    ``speed=float('inf')`` streams as fast as possible. Pacing follows the
-    nominal schedule rather than sleeping per frame, so drift does not
-    accumulate.
+    Frame i is due i * 20 ms / speed after the start, and each tick sends
+    every frame that is due in one call, so drift does not accumulate.
+    ``speed=float('inf')`` streams as fast as possible, one frame per call:
+    a whole recording sent at once fits in the kernel's socket buffers, so
+    a peer that resets the connection mid-stream would go unnoticed.
+    ``frames_sent`` counts the whole frames the kernel accepted.
     """
     check_speed(speed)
     interval_s = 0.0 if math.isinf(speed) else NOMINAL_INTERVAL_MS / 1000.0 / speed
+    wire = memoryview(encode_frames(recording.frames))
     try:
         sock = socket.create_connection(endpoint, timeout=10.0)
     except OSError as exc:
         raise ConnectionRefused(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {exc}") from exc
-    sent = 0
+    sent = 0  # bytes
     start = time.monotonic()
     try:
         with sock:
-            for frame in recording.frames:
-                sock.sendall(encode_frame(frame))
-                sent += 1
-                if interval_s and sent < len(recording.frames):
-                    delay = start + sent * interval_s - time.monotonic()
+            while sent < len(wire):
+                next_frame = sent // FRAME_SIZE
+                due = next_frame + 1  # frames due by now: at least the next one
+                if interval_s:
+                    delay = start + next_frame * interval_s - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)
+                    due = max(due, int((time.monotonic() - start) / interval_s) + 1)
+                end = min(len(wire), due * FRAME_SIZE)
+                while sent < end:
+                    sent += sock.send(wire[sent:end])
     except OSError as exc:
-        raise ConnectionLost(f"connection lost after {sent} frames: {exc}", sent) from exc
-    return TransmissionReport(sent, time.monotonic() - start)
+        frames = sent // FRAME_SIZE
+        raise ConnectionLost(f"connection lost after {frames} frames: {exc}", frames) from exc
+    return TransmissionReport(sent // FRAME_SIZE, time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,3 @@ def session_spec(layers) -> SessionSpec:
     with setting("seed", 0) as value:
         return replace(spec, seed=int(value))
 
-
-def load_session_spec(path) -> SessionSpec:
-    """Read a session spec from a config file (keys: see :func:`session_spec`)."""
-    return session_spec([(path, read_config(path))])

@@ -7,8 +7,10 @@ marginal-mean formulas), p-values come from scipy, the F upper tail is
 evaluated by arbitrary-precision numerical integration of the density (the
 package uses a continued fraction), session synthesis calls
 ``random.gauss`` once per sample (the package inlines the Gaussian pairs),
-and the balanced ANOVA, the cell summaries and the window profiles loop
-over samples in Python (the package runs those sums in C iterators).
+the balanced ANOVA, the cell summaries and the window profiles loop
+over samples in Python (the package runs those sums in C iterators), and
+the file loaders and the stream decoder handle one frame or row at a time
+(the package decodes and checks whole columns).
 """
 
 from __future__ import annotations
@@ -29,12 +31,17 @@ def crc16_bitwise(data: bytes) -> int:
     return crc
 
 
-def with_hand_byte(wire: bytes, hand: int) -> bytes:
-    """A 41-octet wire frame with octet 2 (hand) set and the CRC recomputed bitwise."""
+def with_octet(wire: bytes, index: int, value: int) -> bytes:
+    """A 41-octet wire frame with octet ``index`` < 39 set and the CRC recomputed bitwise."""
     body = bytearray(wire[:39])
-    body[2] = hand
+    body[index] = value
     crc = crc16_bitwise(body)
     return bytes(body) + bytes((crc & 0xFF, crc >> 8))
+
+
+def with_hand_byte(wire: bytes, hand: int) -> bytes:
+    """A 41-octet wire frame with octet 2 (hand) set and the CRC recomputed bitwise."""
+    return with_octet(wire, 2, hand)
 
 
 def brute_force_anova(observations):
@@ -145,6 +152,21 @@ def random_recording(rng: random.Random, max_frames: int = 40):
     )
 
 
+class OutOfRange(ValueError):
+    """Timestamp outside the session duration."""
+
+
+def phase_of(t_ms: int, script, duration_ms: int) -> int:
+    """Task step (1..4) active at ``t_ms``. Step boundaries belong to the later step."""
+    if not 0 <= t_ms < duration_ms:
+        raise OutOfRange(f"t_ms={t_ms} outside session of {duration_ms} ms")
+    ratio = t_ms / duration_ms
+    for step, bound in zip(script.steps, script.boundaries()):
+        if ratio < bound:
+            return step.index
+    return script.steps[-1].index
+
+
 def synthesize_reference(spec, script=None):
     """The per-sample synthesis loop: one ``rng.gauss`` and one ``model_for`` per sample.
 
@@ -154,7 +176,7 @@ def synthesize_reference(spec, script=None):
     """
     from gripstream.protocol import AMPLITUDE_MAX, NOMINAL_INTERVAL_MS, SENSOR_COUNT, GloveFrame
     from gripstream.recording import SessionRecording
-    from gripstream.simulator import default_task_script, frame_count_for, phase_of
+    from gripstream.simulator import default_task_script, frame_count_for
 
     script = script or default_task_script()
     count = frame_count_for(spec.duration_s)
@@ -314,3 +336,184 @@ def window_profile_reference(series, window_ms=2000, statistic="mean",
             value = float("nan")
         windows.append(ProfileWindow(index, t0 + index * window_ms, value, len(values)))
     return GripForceProfile(sensor, window_ms, statistic, tuple(windows))
+
+
+# The file loaders and the stream decoder as they stood before the package
+# moved them onto columns: one decode_frame, one GloveFrame and one order
+# check per frame or row. The package must return equal recordings and
+# frames, or raise the same exception class with the same message.
+
+
+def check_frames_reference(frames, hand) -> None:
+    """``SessionRecording``'s seq/hand rule, one frame at a time."""
+    from gripstream.recording import MisplacedFrame
+
+    last_seq = -1
+    for index, frame in enumerate(frames):
+        if frame.hand != hand:
+            raise MisplacedFrame(f"frame seq={frame.seq} has hand {frame.hand.name}", index)
+        if frame.seq <= last_seq:
+            raise MisplacedFrame(f"frames not sorted by seq at seq={frame.seq}", index)
+        last_seq = frame.seq
+
+
+def from_binary_reference(blob: bytes):
+    """``ingest._from_binary`` decoding and checking one frame at a time."""
+    import struct
+
+    from gripstream.ingest import (
+        _EXPERTISE_BY_CODE,
+        _HEADER_FIXED,
+        BINARY_MAGIC,
+        MalformedFile,
+    )
+    from gripstream.protocol import FRAME_SIZE, FrameError, Hand, decode_frame
+    from gripstream.recording import MisplacedFrame, SessionRecording
+
+    def need(offset: int, count: int) -> bytes:
+        if offset + count > len(blob):
+            raise MalformedFile("file ends mid-field", offset=len(blob))
+        return blob[offset:offset + count]
+
+    if need(0, 4) != BINARY_MAGIC:
+        raise MalformedFile(f"bad file magic {blob[:4]!r}", offset=0)
+    pos = 4
+    (user_len,) = struct.unpack("<H", need(pos, 2))
+    pos += 2
+    try:
+        user_id = need(pos, user_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"user_id is not valid utf-8: {exc}", offset=pos) from exc
+    pos += user_len
+    exp_code, hand_code, session_index, count = _HEADER_FIXED.unpack(need(pos, _HEADER_FIXED.size))
+    if exp_code not in _EXPERTISE_BY_CODE:
+        raise MalformedFile(f"unknown expertise code {exp_code}", offset=pos)
+    if hand_code not in (0, 1):
+        raise MalformedFile(f"unknown hand code {hand_code}", offset=pos + 1)
+    pos += _HEADER_FIXED.size
+    frames = []
+    for i in range(count):
+        raw = need(pos, FRAME_SIZE)
+        try:
+            frames.append(decode_frame(raw))
+        except FrameError as exc:
+            raise MalformedFile(f"frame {i} is corrupt: {exc}", offset=pos) from exc
+        pos += FRAME_SIZE
+    if pos != len(blob):
+        raise MalformedFile(f"{len(blob) - pos} trailing bytes after last frame", offset=pos)
+    try:
+        return SessionRecording(
+            user_id=user_id,
+            expertise=_EXPERTISE_BY_CODE[exp_code],
+            session_index=session_index,
+            hand=Hand(hand_code),
+            frames=frames,
+        )
+    except MisplacedFrame as exc:
+        raise MalformedFile(str(exc), offset=pos - (count - exc.index) * FRAME_SIZE) from exc
+
+
+def parse_csv_reference(blob: bytes, name: str):
+    """``ingest._parse_csv`` parsing and checking one row at a time."""
+    import csv
+    import io
+
+    from gripstream.ingest import CSV_HEADER, MalformedFile, _csv_int, _csv_rows
+    from gripstream.protocol import SENSOR_COUNT, GloveFrame, Hand
+    from gripstream.recording import Expertise, SessionRecording
+
+    columns = CSV_HEADER.split(",")
+    amp_columns = columns[-SENSOR_COUNT:]
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{name} is not valid utf-8: {exc}") from exc
+    rows = _csv_rows(csv.reader(io.StringIO(text)))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise MalformedFile("empty file", line=1) from None
+    if header != columns:
+        raise MalformedFile(f"header mismatch, expected {CSV_HEADER!r}", line=1)
+
+    meta = None
+    frames = []
+    last_seq = -1
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise MalformedFile(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
+        user_id, expertise_text, session_text, hand_text, seq_text, timestamp_text, *amp_texts = row
+        try:
+            expertise = Expertise(expertise_text.lower())
+        except ValueError:
+            raise MalformedFile(
+                f"unknown expertise {expertise_text!r}", line=lineno, column="expertise"
+            ) from None
+        hand_name = hand_text.lower()
+        if hand_name not in ("left", "right"):
+            raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
+        hand = Hand.LEFT if hand_name == "left" else Hand.RIGHT
+        row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
+        if meta is None:
+            meta = row_meta
+        elif row_meta != meta:
+            raise MalformedFile("session metadata changes between rows", line=lineno)
+
+        seq = _csv_int(seq_text, lineno, "seq")
+        if seq <= last_seq:
+            raise MalformedFile(f"seq {seq} not increasing", line=lineno, column="seq")
+        last_seq = seq
+        timestamp = _csv_int(timestamp_text, lineno, "timestamp_ms")
+        amps = tuple(
+            _csv_int(value, lineno, column) for value, column in zip(amp_texts, amp_columns)
+        )
+        try:
+            frames.append(GloveFrame(hand, seq, timestamp, amps))
+        except ValueError as exc:
+            raise MalformedFile(str(exc), line=lineno) from None
+    if meta is None:
+        raise MalformedFile("no data rows; session metadata is unrecoverable", line=1)
+    return SessionRecording(
+        user_id=meta[0], expertise=meta[1], session_index=meta[2], hand=meta[3], frames=frames
+    )
+
+
+class FrameStreamDecoderReference:
+    """``ingest.FrameStreamDecoder`` scanning window by window with ``decode_frame``."""
+
+    def __init__(self):
+        self._buf = bytearray()
+        self._aligned = True
+        self.errors = 0
+
+    def feed(self, data: bytes) -> list:
+        from gripstream.protocol import FRAME_MAGIC, FRAME_SIZE, FrameError, decode_frame
+
+        buf = self._buf
+        buf.extend(data)
+        frames = []
+        pos = 0
+        while pos + FRAME_SIZE <= len(buf):
+            if buf[pos] == FRAME_MAGIC:
+                try:
+                    frames.append(decode_frame(buf[pos:pos + FRAME_SIZE]))
+                except FrameError:
+                    pass
+                else:
+                    self._aligned = True
+                    pos += FRAME_SIZE
+                    continue
+            if self._aligned:
+                self.errors += 1
+                self._aligned = False
+            pos = buf.find(FRAME_MAGIC, pos + 1)
+            if pos < 0:
+                pos = len(buf)
+        del buf[:pos]
+        return frames
+
+    @property
+    def pending(self) -> int:
+        return len(self._buf)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import socket
@@ -13,6 +15,10 @@ from gripstream.ingest import (
     FrameStreamDecoder,
     MalformedFile,
     SessionRecorder,
+    _from_binary,
+    _parse_csv,
+    _to_binary,
+    _write_csv,
     detect_gaps,
     load_session,
     save_session,
@@ -20,7 +26,15 @@ from gripstream.ingest import (
 from gripstream.protocol import FRAME_SIZE, GloveFrame, Hand, encode_frame
 from gripstream.recording import EmptyRecording, Expertise, SessionRecording
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
-from oracles import random_recording, with_hand_byte
+from oracles import (
+    FrameStreamDecoderReference,
+    check_frames_reference,
+    from_binary_reference,
+    parse_csv_reference,
+    random_recording,
+    with_hand_byte,
+    with_octet,
+)
 
 
 def make_recording(count=10, hand=Hand.LEFT, start_seq=0, user_id="u1",
@@ -434,8 +448,7 @@ def test_round_trip_empty_recording_binary(tmp_path):
 
 
 def test_csv_single_frame_layout(tmp_path):
-    recording = make_recording(1, amps=None)
-    recording.frames[0] = GloveFrame(Hand.LEFT, 0, 0, tuple(range(1, 13)))
+    recording = make_recording(1, amps=range(1, 13))
     path = tmp_path / "one.csv"
     save_session(recording, path, format="csv")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -638,3 +651,153 @@ def test_binary_frame_with_foreign_hand_byte_is_malformed(tmp_path, seed, index,
                      + blob[start + FRAME_SIZE:])
     with pytest.raises(MalformedFile):
         load_session(path)
+
+
+# --- columnar loaders and decoder against the per-frame references ---------
+
+
+def assert_agree(function, reference, *args):
+    """Both return equal results, or both raise the same class with the same message."""
+    try:
+        want = reference(*args)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            function(*args)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert function(*args) == want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(Hand), st.integers(0, 5)), max_size=8),
+       st.sampled_from(Hand))
+def test_recording_rule_agrees_with_the_per_frame_reference(pairs, hand):
+    frames = [GloveFrame(h, seq, 0, (0,) * 12) for h, seq in pairs]
+
+    def build():
+        SessionRecording("u", Expertise.NOVICE, 1, hand, frames)
+
+    def reference():
+        check_frames_reference(frames, hand)
+
+    assert_agree(build, reference)
+
+
+# a version or hand octet rewritten under a valid CRC
+OCTET = st.tuples(st.sampled_from((1, 2)),
+                  st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 255)))
+FRAME_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("octet"), st.integers(0, 2**32 - 1), OCTET),
+        st.tuples(st.just("swap"), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("repeat"), st.integers(0, 2**32 - 1), st.none()),
+    ),
+    max_size=2,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edits=FRAME_EDITS,
+       damage=st.one_of(st.just([]), FILE_DAMAGE))
+def test_binary_loader_agrees_with_the_per_frame_reference(seed, edits, damage):
+    recording = random_recording(random.Random(seed), max_frames=40)
+    blob = _to_binary(recording)
+    first = len(blob) - len(recording) * FRAME_SIZE
+    frames = [blob[i:i + FRAME_SIZE] for i in range(first, len(blob), FRAME_SIZE)]
+    for kind, a, b in edits:
+        a = a % len(frames)
+        if kind == "octet":
+            frames[a] = with_octet(frames[a], *b)
+        elif kind == "swap":
+            b = b % len(frames)
+            frames[a], frames[b] = frames[b], frames[a]
+        elif a:
+            frames[a] = frames[a - 1]
+    blob = damage_file(blob[:first] + b"".join(frames), damage)
+    assert_agree(_from_binary, from_binary_reference, blob)
+
+
+# (column, text): the edges of u16, u32 and u64 and integer spellings int()
+# takes or refuses in the integer columns, other spellings in expertise and hand
+CSV_FIELDS = st.one_of(
+    st.tuples(st.integers(2, 17), st.sampled_from((
+        "-1", "65535", "65536", "4294967295", "4294967296", "18446744073709551616"))),
+    st.tuples(st.integers(2, 17), st.sampled_from((
+        "", " 7", "+7", "7.0", "1_0", "007", "1e3", "\u0663", "x"))),
+    st.tuples(st.just(1), st.sampled_from(("", "x", "NOVICE", "Expert", "trained"))),
+    st.tuples(st.just(3), st.sampled_from(("", "x", "LEFT", "right", "Right "))),
+)
+CSV_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cell"), st.integers(0, 2**32 - 1), CSV_FIELDS),
+        st.tuples(st.just("column"), CSV_FIELDS),
+        st.tuples(st.sampled_from(("swap", "repeat", "blank")), st.integers(0, 2**32 - 1),
+                  st.integers(0, 2**32 - 1)),
+    ),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edits=CSV_EDITS,
+       damage=st.one_of(st.just([]), FILE_DAMAGE))
+def test_csv_loader_agrees_with_the_per_row_reference(seed, edits, damage):
+    text = io.StringIO()
+    _write_csv(random_recording(random.Random(seed), max_frames=20), text)
+    header, *rows = csv.reader(io.StringIO(text.getvalue()))
+    for kind, *args in edits:
+        if kind in ("cell", "column"):
+            *where, (column, text) = args
+            for row in [rows[where[0] % len(rows)]] if where else rows:
+                if row:
+                    row[column] = text
+            continue
+        a, b = args[0] % len(rows), args[1] % len(rows)
+        if kind == "swap":
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            rows.insert(a, list(rows[a]) if kind == "repeat" else [])
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    blob = damage_file(text.getvalue().encode("utf-8"), damage)
+    assert_agree(_parse_csv, parse_csv_reference, blob, "r.csv")
+
+
+@st.composite
+def chunked_streams(draw):
+    """Frames of either hand with sparse damage, and a seed and bound for chunk sizes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 60))
+    rng = random.Random(seed)
+    damage = {slot: draw(st.one_of(DAMAGE, st.tuples(st.just("octet"), OCTET)))
+              for slot in draw(st.lists(st.integers(0, count - 1), max_size=6))}
+    payload = bytearray()
+    for seq in range(count):
+        frame = GloveFrame(rng.choice(tuple(Hand)), seq, seq * 20,
+                           tuple(rng.choice((rng.randrange(65536), 0xA5A5)) for _ in range(12)))
+        wire = bytearray(encode_frame(frame))
+        kind, arg = damage.get(seq, (None, None))
+        if kind == "flip":
+            wire[arg // 8] ^= 1 << (arg % 8)
+        elif kind == "delete":
+            del wire[arg]
+        elif kind == "junk":
+            payload += arg
+        elif kind == "octet":
+            wire = with_octet(bytes(wire), *arg)
+        payload += wire
+    return bytes(payload), seed, draw(st.sampled_from((7, 41, 97, 1000, 1 << 20)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(chunked_streams())
+def test_decoder_agrees_with_the_window_by_window_reference(case):
+    payload, seed, largest = case
+    rng = random.Random(seed)
+    decoder, reference = FrameStreamDecoder(), FrameStreamDecoderReference()
+    pos = 0
+    while pos < len(payload):
+        chunk = payload[pos:pos + rng.randrange(1, largest + 1)]
+        pos += len(chunk)
+        assert decoder.feed(chunk) == reference.feed(chunk)
+        assert (decoder.errors, decoder.pending) == (reference.errors, reference.pending)

@@ -10,7 +10,6 @@ from gripstream.recording import Expertise
 from gripstream.simulator import (
     ConnectionRefused,
     InvalidN,
-    OutOfRange,
     SessionSpec,
     TaskScript,
     TaskStep,
@@ -20,14 +19,15 @@ from gripstream.simulator import (
     check_speed,
     default_task_script,
     frame_count_for,
-    load_session_spec,
-    phase_of,
     preset_duration,
     preset_profile,
+    read_config,
     resolve_hand,
+    session_spec,
     stream_session,
     synthesize_session,
 )
+from oracles import OutOfRange, phase_of
 
 
 def equal_script():
@@ -222,7 +222,7 @@ def test_load_session_spec(tmp_path):
         "sensor1.step2 = 650,5\n",
         encoding="utf-8",
     )
-    spec = load_session_spec(path)
+    spec = session_spec([(path, read_config(path))])
     assert spec.user.user_id == "alice"
     assert spec.user.expertise == Expertise.EXPERT
     assert spec.hand == Hand.LEFT
@@ -237,19 +237,19 @@ def test_load_session_spec_errors(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("user = alice\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expertise"):
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
     path.write_text("expertise = wizard\n", encoding="utf-8")
     with pytest.raises(ValueError, match="wizard"):
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
     path.write_text("expertise = novice\nsensor7 = fast\n", encoding="utf-8")
     with pytest.raises(ValueError, match="mean,sd"):
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
     path.write_text("just some text\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key = value"):
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
     path.write_text("expertise = novice\nseed = 3\nduration = 1\nseed = 4\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: key 'seed' given twice$"):
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
 
 
 @pytest.mark.parametrize("line", [
@@ -260,7 +260,7 @@ def test_load_session_spec_error_names_key_and_file(tmp_path, line):
     path = tmp_path / "bad.conf"
     path.write_text(f"expertise = novice\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
-        load_session_spec(path)
+        session_spec([(path, read_config(path))])
     assert str(exc.value).startswith(f"{path}: {line}: ")
 
 
