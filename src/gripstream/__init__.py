@@ -15,7 +15,6 @@ from .protocol import (
 from .recording import Expertise, SessionRecording
 from .simulator import (
     SessionSpec,
-    TaskScript,
     UserProfile,
     calibrate_to_cell,
     preset_profile,

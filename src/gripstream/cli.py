@@ -1,14 +1,14 @@
 """Command-line pipeline: simulate, stream, record, analyze, compare, export.
 
 Exit codes: 0 success, 1 usage error, 2 data/processing error. A flag value
-that argparse converts (--sensor, --window-ms, --speed, record's --session)
-is checked by the library's rule as it is parsed, so a bad one exits 1
-before any file is read or socket bound; a simulate setting that
-session_spec rejects, from a flag or a config file (--duration 0 included),
-exits 2. Diagnostics go to stderr; data goes to stdout or the requested
-files. Each simulate setting comes from its flag, else the --config file,
-else (seed only) GRIPSTREAM_SEED, else the preset; compare's --seed falls
-back to GRIPSTREAM_SEED, then 0.
+that argparse converts (--sensor, --window-ms, --speed, --to, and record's
+--listen, --session, --connections, --timeout) is checked by the library's
+rule as it is parsed, so a bad one exits 1 before any file is read or socket
+bound; a simulate setting that session_spec rejects, from a flag or a config
+file (--duration 0 included), exits 2. Diagnostics go to stderr; data goes to
+stdout or the requested files. Each simulate setting comes from its flag,
+else the --config file, else (seed only) GRIPSTREAM_SEED, else the preset;
+compare's --seed falls back to GRIPSTREAM_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import ingest, profiling, simulator, stats
-from .protocol import SensorId
+from .protocol import SensorId, check_endpoint
 from .recording import Expertise, IoFailure
 
 SEED_ENV_VAR = "GRIPSTREAM_SEED"
@@ -53,16 +53,6 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _parse_endpoint(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise UsageError(f"endpoint must be HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise UsageError(f"endpoint port must be an integer, got {port!r}") from None
-
-
 def _flag(rule):
     """An argparse ``type=`` that applies a library rule; its ValueError is a usage error."""
     def convert(text: str):
@@ -74,6 +64,15 @@ def _flag(rule):
 
 
 _sensor_flag = _flag(lambda text: SensorId.of(int(text)))
+
+
+@_flag
+def _endpoint_flag(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    try:
+        return check_endpoint(host, int(port))
+    except ValueError:  # int's own message does not name the HOST:PORT form
+        raise ValueError(f"endpoint must be HOST:PORT with port 0..65535, got {text!r}") from None
 
 
 @_flag
@@ -111,18 +110,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    endpoint = _parse_endpoint(args.to)
     recording = ingest.load_session(args.infile)
-    report = simulator.stream_session(recording, endpoint, speed=args.speed)
+    report = simulator.stream_session(recording, args.to, speed=args.speed)
     print(f"sent {report.frames_sent} frames in {report.wall_time_s:.3f}s")
     return 0
 
 
 def _cmd_record(args) -> int:
-    host, port = _parse_endpoint(args.listen)
     recorder = ingest.SessionRecorder(
-        host,
-        port,
+        *args.listen,
         user_id=args.user_id,
         expertise=Expertise(args.expertise),
         session_index=args.session,
@@ -275,19 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="replay a saved recording to a socket")
     p.add_argument("--in", dest="infile", required=True, help="recording to send")
-    p.add_argument("--to", required=True, help="receiver HOST:PORT")
+    p.add_argument("--to", type=_endpoint_flag, required=True, help="receiver HOST:PORT")
     p.add_argument("--speed", type=_speed_flag, default="1.0",
                    help="pacing factor; 'max' = no pacing")
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("record", help="receive glove streams and save recordings")
-    p.add_argument("--listen", default="127.0.0.1:0", help="bind HOST:PORT (port 0 = ephemeral)")
+    p.add_argument("--listen", type=_endpoint_flag, default="127.0.0.1:0",
+                   help="bind HOST:PORT (port 0 = ephemeral)")
     p.add_argument("--user-id", default="user")
     p.add_argument("--expertise", choices=[e.value for e in Expertise], required=True)
     p.add_argument("--session", type=_flag(lambda text: simulator.check_session(int(text))),
                    default="1", help="session index 1..10")
-    p.add_argument("--connections", type=int, default=1, help="gloves expected")
-    p.add_argument("--timeout", type=float, help="overall deadline (s); what arrived is kept")
+    p.add_argument("--connections", type=_flag(lambda text: ingest.check_connections(int(text))),
+                   default="1", help="gloves expected")
+    p.add_argument("--timeout", type=_flag(lambda text: ingest.check_timeout(float(text))),
+                   help="overall deadline (s); what arrived is kept")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=_cmd_record)

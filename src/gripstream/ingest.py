@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import selectors
 import socket
 import struct
@@ -39,6 +40,7 @@ from .protocol import (
     Frames,
     GloveFrame,
     Hand,
+    check_endpoint,
     decode_frame,
     decode_frames,
     encode_frame,  # noqa: F401  re-exported: perfbench/layers.py wraps ingest.encode_frame
@@ -205,6 +207,20 @@ class _Peer:
         self.kept.append(frames)
 
 
+def check_connections(connections: int) -> int:
+    """``connections`` if at least one glove is expected, else ValueError."""
+    if not connections >= 1:
+        raise ValueError(f"connections must be at least 1, got {connections}")
+    return connections
+
+
+def check_timeout(timeout: float | None) -> float | None:
+    """``timeout`` if it is None (no deadline) or positive and finite seconds, else ValueError."""
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
+    return timeout
+
+
 class SessionRecorder:
     """Accepts glove connections and assembles one recording per connection.
 
@@ -213,14 +229,16 @@ class SessionRecorder:
     recording is built only for a connection that delivered at least one
     valid frame. The bound address is available as :attr:`address` before
     :meth:`run` is called, so callers can bind port 0 and stream to the real port.
+    A bad endpoint, ``connections`` or ``timeout`` raises ValueError before any bind.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  user_id: str, expertise: Expertise, session_index: int,
                  connections: int = 1, timeout: float | None = None):
         self._meta = (user_id, Expertise(expertise), session_index)
-        self._connections = connections
-        self._timeout = timeout
+        self._connections = check_connections(connections)
+        self._timeout = check_timeout(timeout)
+        check_endpoint(host, port)
         try:
             self._server = socket.create_server((host, port))
         except OSError as exc:
@@ -241,10 +259,10 @@ class SessionRecorder:
         deadline = None if self._timeout is None else time.monotonic() + self._timeout
         peers: list[_Peer] = []
         with self._server, selectors.DefaultSelector() as selector, ExitStack() as conns:
-            if self._connections > 0:
-                selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._server, selectors.EVENT_READ)
             while selector.get_map() and (deadline is None or time.monotonic() < deadline):
-                wait = None if deadline is None else deadline - time.monotonic()
+                # epoll waits at most 2**31 - 1 ms a call; the loop waits on to the deadline
+                wait = None if deadline is None else min(deadline - time.monotonic(), 2e6)
                 for key, _events in selector.select(wait):
                     if key.data is None:
                         conn = conns.enter_context(self._server.accept()[0])

@@ -235,6 +235,13 @@ class Frames(Sequence):
         return f"Frames({list(self)!r})"
 
 
+def check_endpoint(host: str, port: int) -> tuple[str, int]:
+    """``(host, port)`` if it names a stream endpoint (a host, port 0..65535), else ValueError."""
+    if not host or not 0 <= port <= 0xFFFF:
+        raise ValueError(f"endpoint must be HOST:PORT with port 0..65535, got {host}:{port}")
+    return host, port
+
+
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xorout."""
     return binascii.crc_hqx(data, 0xFFFF)
@@ -379,7 +386,7 @@ def validate_cadence(frames, tolerance_ms: float = 0) -> CadenceReport:
         frames = Frames.of(frames)
     if len(frames) < 2:
         raise EmptyStream(f"cadence needs at least 2 frames, got {len(frames)}")
-    if tolerance_ms < 0:
+    if not tolerance_ms >= 0:
         raise ValueError("tolerance_ms must be >= 0")
     times = frames.timestamp_ms
     gaps = list(map(sub, islice(times, 1, None), times))

@@ -17,6 +17,7 @@ from array import array
 from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Mapping
 
 from .protocol import (
@@ -27,19 +28,16 @@ from .protocol import (
     SENSOR_COUNT,
     Frames,
     Hand,
+    check_endpoint,
     encode_frames,
 )
 from .recording import Expertise, SessionRecording
 
 TASK_STEP_COUNT = 4
 SESSION_COUNT = 10
-DEFAULT_STEP_FRACTIONS = (0.30, 0.25, 0.30, 0.15)
-DEFAULT_STEP_DESCRIPTIONS = (
-    "move tool to the object",
-    "close grippers, grasp and lift",
-    "carry object to the target",
-    "open grippers and release",
-)
+# shares of the session: move tool to the object; close grippers, grasp and lift;
+# carry object to the target; open grippers and release
+STEP_FRACTIONS = (0.30, 0.25, 0.30, 0.15)
 
 
 def check_session(session_index: int) -> int:
@@ -70,50 +68,6 @@ class ConnectionLost(OSError):
     def __init__(self, message: str, frames_sent: int):
         super().__init__(message)
         self.frames_sent = frames_sent
-
-
-@dataclass(frozen=True)
-class TaskStep:
-    index: int  # 1-based
-    description: str
-    fraction: float  # share of the session duration
-
-
-@dataclass(frozen=True)
-class TaskScript:
-    """The four ordered task phases and their shares of the session."""
-
-    steps: tuple[TaskStep, ...]
-
-    def __post_init__(self):
-        if len(self.steps) != TASK_STEP_COUNT:
-            raise ValueError(f"task script must have {TASK_STEP_COUNT} steps")
-        for pos, step in enumerate(self.steps, start=1):
-            if step.index != pos:
-                raise ValueError(f"step at position {pos} has index {step.index}")
-            if step.fraction <= 0:
-                raise ValueError(f"step {pos} fraction must be positive")
-        total = math.fsum(s.fraction for s in self.steps)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"step fractions must sum to 1, got {total}")
-
-    def boundaries(self) -> tuple[float, ...]:
-        """Cumulative fraction at the end of each step; the last is exactly 1."""
-        cum, out = 0.0, []
-        for step in self.steps:
-            cum += step.fraction
-            out.append(cum)
-        out[-1] = 1.0  # absorb float residue so every t < duration lands in a step
-        return tuple(out)
-
-
-def default_task_script(fractions=DEFAULT_STEP_FRACTIONS) -> TaskScript:
-    return TaskScript(
-        tuple(
-            TaskStep(i + 1, desc, frac)
-            for i, (desc, frac) in enumerate(zip(DEFAULT_STEP_DESCRIPTIONS, fractions))
-        )
-    )
 
 
 # (mean, sd) per task step, keyed by 1-based sensor index
@@ -166,7 +120,7 @@ def frame_count_for(duration_s: float) -> int:
     return int(duration_s * FRAMES_PER_SECOND + 1e-9)
 
 
-def synthesize_session(spec: SessionSpec, script: TaskScript | None = None) -> SessionRecording:
+def synthesize_session(spec: SessionSpec) -> SessionRecording:
     """Generate a full recording at exact 20 ms cadence from the user's model.
 
     Each amplitude is one ``random.Random(seed).gauss(mean, sd)`` draw per
@@ -175,13 +129,12 @@ def synthesize_session(spec: SessionSpec, script: TaskScript | None = None) -> S
     spare normal to the next sensor), so the draws equal ``random.gauss``'s
     and identical specs give byte-identical recordings.
     """
-    script = script or default_task_script()
     count = frame_count_for(spec.duration_s)
     duration_ms = count * NOMINAL_INTERVAL_MS
-    bounds = script.boundaries()
+    bounds = (*accumulate(STEP_FRACTIONS[:-1]), 1.0)  # the last is exactly 1: no t is stranded
     # per task step, (mean, sd, mean, sd) for each two sensors that share one normal pair
-    tables = [[(*spec.user.model_for(s, step.index), *spec.user.model_for(s + 1, step.index))
-               for s in range(1, SENSOR_COUNT, 2)] for step in script.steps]
+    tables = [[(*spec.user.model_for(s, step), *spec.user.model_for(s + 1, step))
+               for s in range(1, SENSOR_COUNT, 2)] for step in range(1, TASK_STEP_COUNT + 1)]
     rand = random.Random(spec.seed).random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
     top = float(AMPLITUDE_MAX)
@@ -240,6 +193,7 @@ def stream_session(
     a peer that resets the connection mid-stream would go unnoticed.
     ``frames_sent`` counts the whole frames the kernel accepted.
     """
+    check_endpoint(*endpoint)
     check_speed(speed)
     interval_s = 0.0 if math.isinf(speed) else NOMINAL_INTERVAL_MS / 1000.0 / speed
     wire = memoryview(encode_frames(recording.frames))
@@ -310,17 +264,13 @@ _SENSOR_LEVEL_FACTORS = {
 _STEP_EFFORT_FACTORS = (0.55, 1.00, 0.90, 0.45)
 
 
-def preset_profile(
-    expertise: Expertise,
-    session_index: int = 1,
-    user_id: str | None = None,
-    cell_n: int = DEFAULT_CELL_N,
-) -> UserProfile:
+def preset_profile(expertise: Expertise, session_index: int = 1,
+                   user_id: str | None = None) -> UserProfile:
     """Amplitude model for an expertise level at a given session index."""
     check_session(session_index)
     (m0, s0), (m1, s1) = S7_SESSION_CELLS[expertise]
     w = (session_index - 1) / (SESSION_COUNT - 1)
-    mean, sd = calibrate_to_cell(m0 + w * (m1 - m0), s0 + w * (s1 - s0), cell_n)
+    mean, sd = calibrate_to_cell(m0 + w * (m1 - m0), s0 + w * (s1 - s0), DEFAULT_CELL_N)
     models = {}
     for idx in range(1, SENSOR_COUNT + 1):
         if idx == 7:

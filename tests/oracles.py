@@ -156,18 +156,23 @@ class OutOfRange(ValueError):
     """Timestamp outside the session duration."""
 
 
-def phase_of(t_ms: int, script, duration_ms: int) -> int:
+# the task's four step shares, kept apart from the package's own constant
+STEP_FRACTIONS = (0.30, 0.25, 0.30, 0.15)
+
+
+def phase_of(t_ms: int, duration_ms: int, fractions=STEP_FRACTIONS) -> int:
     """Task step (1..4) active at ``t_ms``. Step boundaries belong to the later step."""
     if not 0 <= t_ms < duration_ms:
         raise OutOfRange(f"t_ms={t_ms} outside session of {duration_ms} ms")
-    ratio = t_ms / duration_ms
-    for step, bound in zip(script.steps, script.boundaries()):
-        if ratio < bound:
-            return step.index
-    return script.steps[-1].index
+    ratio, end = t_ms / duration_ms, 0.0
+    for step, fraction in enumerate(fractions[:-1], start=1):
+        end += fraction
+        if ratio < end:
+            return step
+    return len(fractions)
 
 
-def synthesize_reference(spec, script=None):
+def synthesize_reference(spec):
     """The per-sample synthesis loop: one ``rng.gauss`` and one ``model_for`` per sample.
 
     The package inlines the Gaussian pairs and builds frames unchecked; this
@@ -176,16 +181,15 @@ def synthesize_reference(spec, script=None):
     """
     from gripstream.protocol import AMPLITUDE_MAX, NOMINAL_INTERVAL_MS, SENSOR_COUNT, GloveFrame
     from gripstream.recording import SessionRecording
-    from gripstream.simulator import default_task_script, frame_count_for
+    from gripstream.simulator import frame_count_for
 
-    script = script or default_task_script()
     count = frame_count_for(spec.duration_s)
     duration_ms = count * NOMINAL_INTERVAL_MS
     rng = random.Random(spec.seed)
     frames = []
     for i in range(count):
         t_ms = i * NOMINAL_INTERVAL_MS
-        step = phase_of(t_ms, script, duration_ms)
+        step = phase_of(t_ms, duration_ms)
         amps = []
         for sensor in range(1, SENSOR_COUNT + 1):
             mean, sd = spec.user.model_for(sensor, step)

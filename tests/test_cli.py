@@ -372,15 +372,19 @@ def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):
     assert direct.read_bytes() == relayed.read_bytes()
 
 
-@pytest.mark.parametrize("session", ["-1", "11"])
-def test_record_rejects_session_outside_the_study_before_listening(tmp_path, capsys,
-                                                                   monkeypatch, session):
+@pytest.fixture
+def no_listener(monkeypatch):
     from gripstream import ingest
 
-    def no_listener(*args, **kwargs):
+    def refuse(*args, **kwargs):
         raise AssertionError("a listener was bound")
 
-    monkeypatch.setattr(ingest, "SessionRecorder", no_listener)
+    monkeypatch.setattr(ingest, "SessionRecorder", refuse)
+
+
+@pytest.mark.parametrize("session", ["-1", "11"])
+def test_record_rejects_session_outside_the_study_before_listening(tmp_path, capsys,
+                                                                   no_listener, session):
     outdir = tmp_path / "captured"
     code = main(["record", "--listen", "127.0.0.1:0", "--expertise", "expert",
                  "--session", session, "--timeout", "1", "--out-dir", str(outdir)])
@@ -389,6 +393,39 @@ def test_record_rejects_session_outside_the_study_before_listening(tmp_path, cap
     assert "argument --session: session_index must be in 1..10" in err
     assert "listening on" not in err
     assert not outdir.exists()
+
+
+BAD_ENDPOINTS = ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", ":80", "127.0.0.1",
+                 "127.0.0.1:x"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    *(("--listen", endpoint, f"endpoint must be HOST:PORT with port 0..65535, got '{endpoint}'")
+      for endpoint in BAD_ENDPOINTS),
+    ("--connections", "0", "connections must be at least 1, got 0"),
+    ("--connections", "-1", "connections must be at least 1, got -1"),
+    ("--timeout", "inf", "timeout must be positive and finite, got inf"),
+    ("--timeout", "nan", "timeout must be positive and finite, got nan"),
+    ("--timeout", "-1", "timeout must be positive and finite, got -1.0"),
+    ("--timeout", "0", "timeout must be positive and finite, got 0.0"),
+])
+def test_record_rejects_bad_receiver_flags_before_listening(tmp_path, capsys, no_listener,
+                                                            flag, value, message):
+    outdir = tmp_path / "captured"
+    code = main(["record", "--expertise", "expert", "--out-dir", str(outdir), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "listening on" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("endpoint", BAD_ENDPOINTS)
+def test_stream_rejects_bad_endpoint_before_reading_or_connecting(tmp_path, capsys, endpoint):
+    code = main(["stream", "--in", str(tmp_path / "missing.bin"), "--to", endpoint])
+    assert code == 1  # a missing --in would exit 2: the flag is checked first
+    assert (f"argument --to: endpoint must be HOST:PORT with port 0..65535, got '{endpoint}'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("speed", ["0", "abc", "-2", "nan"])

@@ -24,7 +24,7 @@ frames = st.builds(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(frames, st.sampled_from(["hand", "seq", "timestamp_ms", "amplitudes"]))
 def test_decoded_frame_equals_hashes_and_freezes_like_the_original(frame, attribute):
     decoded = decode_frame(encode_frame(frame))

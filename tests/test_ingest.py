@@ -211,7 +211,7 @@ def feed_in_chunks(payload: bytes, seed: int) -> tuple[list, FrameStreamDecoder]
     return frames, decoder
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(damaged_streams(separated=False))
 def test_decoder_emits_sent_frames_and_recovers_every_intact_one(case):
     sent, payload, touched, _spans, seed = case
@@ -222,7 +222,7 @@ def test_decoder_emits_sent_frames_and_recovers_every_intact_one(case):
     assert set(range(len(sent))) - touched <= set(seqs)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(damaged_streams(separated=True))
 def test_decoder_counts_each_separated_damage_span_once(case):
     _sent, payload, _touched, spans, seed = case
@@ -367,6 +367,29 @@ def test_bind_failure_on_taken_port():
                             session_index=1)
     finally:
         taken.close()
+
+
+@pytest.mark.parametrize("setting", [dict(host=""), dict(port=99999), dict(port=-1),
+                                     dict(connections=0), dict(connections=-1),
+                                     dict(timeout=math.inf), dict(timeout=math.nan),
+                                     dict(timeout=-1.0), dict(timeout=0.0)])
+def test_recorder_rejects_bad_settings_before_binding(monkeypatch, setting):
+    def no_listener(*args, **kwargs):
+        raise AssertionError("a listener was bound")
+
+    monkeypatch.setattr(socket, "create_server", no_listener)
+    kwargs = dict(host="127.0.0.1", port=0, user_id="u", expertise=Expertise.NOVICE,
+                  session_index=1, timeout=1.0) | setting
+    with pytest.raises(ValueError, match="endpoint must be|connections must|timeout must"):
+        SessionRecorder(**kwargs)
+
+
+def test_record_waits_out_a_deadline_longer_than_one_select_call():
+    recorder, thread, holder = start_recorder(timeout=1e7)  # 116 days; epoll waits 24.8 at most
+    send_raw(recorder.address, encode_frame(GloveFrame(Hand.LEFT, 0, 0, (1,) * 12)))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [len(r.frames) for r in holder["recordings"]] == [1]
 
 
 def test_record_drops_out_of_order_frames():
@@ -621,8 +644,7 @@ def damage_file(blob: bytes, damage) -> bytes:
     return bytes(out)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(("binary", "csv")),
        damage=FILE_DAMAGE)
 def test_damaged_file_loads_or_raises_malformed_file(tmp_path, seed, fmt, damage):
@@ -635,8 +657,7 @@ def test_damaged_file_loads_or_raises_malformed_file(tmp_path, seed, fmt, damage
         pass
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**32 - 1),
        hand=st.integers(0, 255))
 def test_binary_frame_with_foreign_hand_byte_is_malformed(tmp_path, seed, index, hand):
@@ -668,7 +689,7 @@ def assert_agree(function, reference, *args):
         assert function(*args) == want
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(st.sampled_from(Hand), st.integers(0, 5)), max_size=8),
        st.sampled_from(Hand))
 def test_recording_rule_agrees_with_the_per_frame_reference(pairs, hand):
@@ -696,7 +717,7 @@ FRAME_EDITS = st.lists(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), edits=FRAME_EDITS,
        damage=st.one_of(st.just([]), FILE_DAMAGE))
 def test_binary_loader_agrees_with_the_per_frame_reference(seed, edits, damage):
@@ -738,7 +759,7 @@ CSV_EDITS = st.lists(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), edits=CSV_EDITS,
        damage=st.one_of(st.just([]), FILE_DAMAGE))
 def test_csv_loader_agrees_with_the_per_row_reference(seed, edits, damage):
@@ -789,7 +810,7 @@ def chunked_streams(draw):
     return bytes(payload), seed, draw(st.sampled_from((7, 41, 97, 1000, 1 << 20)))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(chunked_streams())
 def test_decoder_agrees_with_the_window_by_window_reference(case):
     payload, seed, largest = case

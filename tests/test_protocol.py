@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -180,6 +181,13 @@ def test_cadence_gap_reported():
     frames = [frame_at(0, 0), frame_at(20, 1), frame_at(100, 2)]
     report = validate_cadence(frames, tolerance_ms=1)
     assert report.violations == ((2, 80),)
+
+
+@pytest.mark.parametrize("tolerance", [-1, math.nan])
+def test_cadence_rejects_negative_or_nan_tolerance(tolerance):
+    frames = [frame_at(0, 0), frame_at(20, 1), frame_at(500, 2)]
+    with pytest.raises(ValueError, match="tolerance_ms must be >= 0"):
+        validate_cadence(frames, tolerance)
 
 
 def test_cadence_needs_two_frames():

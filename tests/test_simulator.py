@@ -11,13 +11,10 @@ from gripstream.simulator import (
     ConnectionRefused,
     InvalidN,
     SessionSpec,
-    TaskScript,
-    TaskStep,
     UserProfile,
     calibrate_to_cell,
     check_session,
     check_speed,
-    default_task_script,
     frame_count_for,
     preset_duration,
     preset_profile,
@@ -30,8 +27,7 @@ from gripstream.simulator import (
 from oracles import OutOfRange, phase_of
 
 
-def equal_script():
-    return default_task_script(fractions=(0.25, 0.25, 0.25, 0.25))
+EQUAL = (0.25, 0.25, 0.25, 0.25)
 
 
 def flat_profile(mean=100.0, sd=0.0, expertise=Expertise.NOVICE):
@@ -49,48 +45,32 @@ def spec_for(duration_s, seed=1, profile=None, hand=Hand.RIGHT):
     )
 
 
-# --- task script / phase ----------------------------------------------------
+# --- task phase -------------------------------------------------------------
 
 
 def test_phase_of_examples():
-    script = equal_script()
-    assert phase_of(0, script, 8000) == 1
-    assert phase_of(7999, script, 8000) == 4
-    assert phase_of(2000, script, 8000) == 2  # boundary belongs to the later step
+    assert phase_of(0, 8000, EQUAL) == 1
+    assert phase_of(7999, 8000, EQUAL) == 4
+    assert phase_of(2000, 8000, EQUAL) == 2  # boundary belongs to the later step
 
 
 def test_phase_partition_covers_each_step_equally():
-    script = equal_script()
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     for t in range(8000):
-        counts[phase_of(t, script, 8000)] += 1
+        counts[phase_of(t, 8000, EQUAL)] += 1
     assert counts == {1: 2000, 2: 2000, 3: 2000, 4: 2000}
 
 
 def test_phase_out_of_range():
-    script = equal_script()
     with pytest.raises(OutOfRange):
-        phase_of(8000, script, 8000)
+        phase_of(8000, 8000, EQUAL)
     with pytest.raises(OutOfRange):
-        phase_of(-1, script, 8000)
+        phase_of(-1, 8000, EQUAL)
 
 
 def test_default_fractions_cover_full_session():
-    # the float sum of the default fractions must not strand late timestamps
-    script = default_task_script()
-    assert phase_of(9999, script, 10000) == 4
-
-
-def test_task_script_validation():
-    steps = [TaskStep(i + 1, f"s{i}", 0.25) for i in range(4)]
-    TaskScript(tuple(steps))
-    with pytest.raises(ValueError):
-        TaskScript(tuple(steps[:3]))
-    with pytest.raises(ValueError):
-        TaskScript(tuple(steps[:3] + [TaskStep(4, "s4", 0.30)]))  # sums to 1.05
-    with pytest.raises(ValueError):
-        TaskScript((TaskStep(1, "a", 0.5), TaskStep(2, "b", 0.5),
-                    TaskStep(3, "c", -0.5), TaskStep(4, "d", 0.5)))
+    # the float sum of the task's fractions must not strand late timestamps
+    assert phase_of(9999, 10000) == 4
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -320,6 +300,16 @@ def test_stream_rejects_bad_speed():
     recording = synthesize_session(spec_for(0.1))
     with pytest.raises(ValueError):
         stream_session(recording, ("127.0.0.1", 1), speed=0)
+
+
+@pytest.mark.parametrize("endpoint", [("127.0.0.1", 99999), ("127.0.0.1", -1), ("", 80)])
+def test_stream_rejects_bad_endpoint_before_connecting(monkeypatch, endpoint):
+    def no_connection(*args, **kwargs):
+        raise AssertionError("a connection was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_connection)
+    with pytest.raises(ValueError, match=r"endpoint must be HOST:PORT with port 0\.\.65535"):
+        stream_session(synthesize_session(spec_for(0.1)), endpoint)
 
 
 @pytest.mark.parametrize("session", [0, -1, 11])

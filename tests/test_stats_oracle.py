@@ -49,7 +49,7 @@ def series(draw):
     return list(zip(times, values)), window_ms
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(balanced_designs())
 def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
     assert outcome(two_way_anova, observations) == outcome(two_way_anova_reference, observations)
@@ -60,7 +60,7 @@ def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
         assert outcome(mean_sem, values) == outcome(mean_sem_reference, values)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(series(), st.sampled_from(list(Statistic)), st.sampled_from(list(PartialPolicy)))
 def test_window_profile_matches_the_per_sample_loop(drawn, statistic, policy):
     samples, window_ms = drawn

@@ -7,22 +7,21 @@ from gripstream.recording import Expertise
 from gripstream.simulator import (
     SessionSpec,
     UserProfile,
-    default_task_script,
     preset_profile,
     synthesize_session,
 )
 from oracles import synthesize_reference
 
 
-def assert_same_session(spec, script=None):
-    got = synthesize_session(spec, script)
-    want = synthesize_reference(spec, script)
+def assert_same_session(spec):
+    got = synthesize_session(spec)
+    want = synthesize_reference(spec)
     assert got == want
     assert list(map(encode_frame, got.frames)) == list(map(encode_frame, want.frames))
     return got
 
 
-@pytest.mark.parametrize("duration_s", [0.1, 8.88, 120.0])
+@pytest.mark.parametrize("duration_s", [0.02, 0.1, 0.14, 8.88, 120.0])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
 @pytest.mark.parametrize("expertise", list(Expertise))
 def test_preset_sessions_match_reference(expertise, seed, duration_s):
@@ -46,10 +45,3 @@ def test_clamped_draws_match_reference():
     assert 0 in values and AMPLITUDE_MAX in values
     assert any(0 < a < AMPLITUDE_MAX for a in values)
 
-
-@pytest.mark.parametrize("fractions", [(0.25, 0.25, 0.25, 0.25), (0.01, 0.01, 0.01, 0.97),
-                                       (0.1, 0.2, 0.3, 0.4)])
-def test_other_task_scripts_match_reference(fractions):
-    profile = preset_profile(Expertise.TRAINED, 4)
-    spec = SessionSpec(profile, Hand.RIGHT, 4, 7.3, 5)
-    assert_same_session(spec, default_task_script(fractions))
