@@ -29,8 +29,8 @@ import time
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
-from operator import ge, itemgetter, sub
+from itertools import compress, islice, repeat
+from operator import ge, sub
 
 from .protocol import (
     FRAME_MAGIC,
@@ -60,6 +60,7 @@ CSV_HEADER = (
     "user_id,expertise,session_index,hand,seq,timestamp_ms,"
     "s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,s11,s12"
 )
+_CSV_INTS = 2 + SENSOR_COUNT  # integer fields after a row's metadata: seq, timestamp_ms, s1..s12
 
 _EXPERTISE_CODES = {Expertise.NOVICE: 0, Expertise.TRAINED: 1, Expertise.EXPERT: 2}
 _EXPERTISE_BY_CODE = {v: k for k, v in _EXPERTISE_CODES.items()}
@@ -302,8 +303,9 @@ def save_session(recording: SessionRecording, path, format: str | None = None) -
             with open(path, "wb") as fh:
                 fh.write(blob)
         else:
+            text = _csv_text(recording)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                _write_csv(recording, fh)
+                fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -386,14 +388,18 @@ def _from_binary(blob: bytes) -> SessionRecording:
         raise MalformedFile(str(exc), offset=pos - (count - exc.index) * FRAME_SIZE) from exc
 
 
-def _write_csv(recording: SessionRecording, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    meta = (recording.user_id, recording.expertise.value, recording.session_index,
-            recording.hand.name.lower())
+def _csv_text(recording: SessionRecording) -> str:
+    """The CSV file of ``recording``: the header, then one row per frame."""
+    meta = io.StringIO()
+    # with CR in the terminator, the writer quotes a CR in user_id as it does a LF
+    csv.writer(meta, lineterminator="\r\n").writerow(
+        (recording.user_id, recording.expertise.value, recording.session_index,
+         recording.hand.name.lower()))
+    row = meta.getvalue()[:-2].replace("%", "%%") + ",%d" * _CSV_INTS + "\n"
     frames = recording.frames
     amplitudes = (frames.amplitudes[k::SENSOR_COUNT] for k in range(SENSOR_COUNT))
-    writer.writerows(zip(*map(repeat, meta), frames.seq, frames.timestamp_ms, *amplitudes))
+    rows = map(row.__mod__, zip(frames.seq, frames.timestamp_ms, *amplitudes))
+    return CSV_HEADER + "\n" + "".join(rows)
 
 
 def _csv_int(value: str, lineno: int, column: str) -> int:
@@ -415,36 +421,47 @@ def _csv_rows(reader):
 
 
 _HAND_BY_NAME = {"left": Hand.LEFT, "right": Hand.RIGHT}
-_CSV_META, _CSV_SEQ, _CSV_TIMESTAMP = itemgetter(0, 1, 2, 3), itemgetter(4), itemgetter(5)
-_CSV_AMPLITUDES = itemgetter(slice(6, None))
-_CSV_BLOCK = 4096  # rows split at once; bounds the memory the split rows take
+_CSV_BLOCK = 4096  # rows converted at once; bounds the memory the split fields take
 
 
 def _csv_columns(text: str) -> SessionRecording | None:
-    """The recording in ``text`` read a column at a time, or None if any row is not plain.
+    """The recording in ``text`` read by splitting, or None if the text is not plain.
 
-    Plain rows have all 18 fields, one and the same metadata text, integer
-    fields in range and increasing seq. For anything else the per-row parser
-    runs, which accepts what it can and names the line and column of what it cannot.
+    Plain text holds no quote, no CR and no line longer than the csv
+    module's field limit, and its rows all begin with one and the same
+    metadata text and then 14 integer fields in range, with increasing seq.
+    Lines end at LF alone, as they do for ``csv.reader``. For anything else
+    the per-row parser runs, which accepts what it can and names the line
+    and column of what it cannot.
     """
-    columns = CSV_HEADER.split(",")
-    reader = csv.reader(io.StringIO(text))
-    seq, timestamps, amplitudes, metas = array("I"), array("Q"), array("H"), set()
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    meta = body.partition("\n")[0].split(",", 4)[:4]  # the first row's
+    prefix = "\n" + ",".join(meta) + ","
+    stripped = ("\n" + body).replace(prefix, "\n")
+    lines = stripped.split("\n")[1:]
+    if not lines[-1]:
+        del lines[-1]  # the final LF
+    # the prefix matches only at a line start, so every line had it when the count is right
+    if (header != CSV_HEADER or not lines
+            or len(body) + 1 - len(stripped) != len(lines) * (len(prefix) - 1)
+            or max(map(len, lines)) + len(prefix) - 1 > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {_CSV_INTS - 1}):
+        return None
+    seq, timestamps, amplitudes = array("I"), array("Q"), array("H")
     try:
-        if next(reader) != columns:
-            return None
-        for rows in iter(lambda: list(islice(reader, _CSV_BLOCK)), []):
-            if set(map(len, rows)) != {len(columns)}:
-                return None
-            metas.update(map(_CSV_META, rows))
-            seq.extend(map(int, map(_CSV_SEQ, rows)))
-            timestamps.extend(map(int, map(_CSV_TIMESTAMP, rows)))
-            amplitudes.extend(map(int, chain.from_iterable(map(_CSV_AMPLITUDES, rows))))
-        ((user_id, expertise_text, session_text, hand_text),) = metas  # else ValueError
+        for start in range(0, len(lines), _CSV_BLOCK):
+            ints = list(map(int, ",".join(lines[start:start + _CSV_BLOCK]).split(",")))
+            seq.extend(ints[0::_CSV_INTS])
+            timestamps.extend(ints[1::_CSV_INTS])
+            del ints[0::_CSV_INTS], ints[0::_CSV_INTS - 1]  # seq, then timestamp_ms
+            amplitudes.extend(ints)
+        user_id, expertise_text, session_text, hand_text = meta
         expertise = Expertise(expertise_text.lower())
         hand = _HAND_BY_NAME[hand_text.lower()]
         session_index = int(session_text)
-    except (csv.Error, StopIteration, ValueError, KeyError, OverflowError):
+    except (ValueError, KeyError, OverflowError):
         return None
     if any(map(ge, seq, islice(seq, 1, None))):
         return None

@@ -168,7 +168,7 @@ def calibrate_to_cell(mean_target: float, sem_target: float, n: int) -> tuple[fl
     """
     if n < 1:
         raise InvalidN(f"need n >= 1, got {n}")
-    if sem_target < 0:
+    if not sem_target >= 0:
         raise ValueError("sem_target must be >= 0")
     return mean_target, sem_target * math.sqrt(n)
 

@@ -265,8 +265,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     The expansion converges fast for x below (a+1)/(a+b+2); beyond that
     point the symmetric identity I_x(a, b) = 1 - I_(1-x)(b, a) is used.
     """
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
+    if x != x:
+        raise ValueError("x must be a number, got nan")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -292,7 +294,7 @@ def f_upper_tail(f: float, df1: int, df2: int) -> float:
     """
     if df1 < 1 or df2 < 1:
         raise InvalidDf(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if f < 0:
+    if not f >= 0:
         raise ValueError(f"F statistic must be >= 0, got {f}")
     if f == 0.0:
         return 1.0

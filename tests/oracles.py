@@ -9,8 +9,9 @@ package uses a continued fraction), session synthesis calls
 ``random.gauss`` once per sample (the package inlines the Gaussian pairs),
 the balanced ANOVA, the cell summaries and the window profiles loop
 over samples in Python (the package runs those sums in C iterators), and
-the file loaders and the stream decoder handle one frame or row at a time
-(the package decodes and checks whole columns).
+the file loaders and writers and the stream decoder handle one frame or
+row at a time (the package decodes and checks whole columns and formats
+or splits the CSV text in one pass).
 """
 
 from __future__ import annotations
@@ -415,6 +416,26 @@ def from_binary_reference(blob: bytes):
         )
     except MisplacedFrame as exc:
         raise MalformedFile(str(exc), offset=pos - (count - exc.index) * FRAME_SIZE) from exc
+
+
+def write_csv_reference(recording) -> str:
+    """``ingest._csv_text`` written by ``csv.writer``, one row of 18 fields per frame."""
+    import csv
+    import io
+    from itertools import repeat
+
+    from gripstream.ingest import CSV_HEADER
+    from gripstream.protocol import SENSOR_COUNT
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    meta = (recording.user_id, recording.expertise.value, recording.session_index,
+            recording.hand.name.lower())
+    frames = recording.frames
+    amplitudes = (frames.amplitudes[k::SENSOR_COUNT] for k in range(SENSOR_COUNT))
+    writer.writerows(zip(*map(repeat, meta), frames.seq, frames.timestamp_ms, *amplitudes))
+    return text.getvalue()
 
 
 def parse_csv_reference(blob: bytes, name: str):

@@ -5,20 +5,22 @@ import random
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gripstream import ingest
 from gripstream.ingest import (
     CSV_HEADER,
     FrameStreamDecoder,
     MalformedFile,
     SessionRecorder,
+    _csv_text,
     _from_binary,
     _parse_csv,
     _to_binary,
-    _write_csv,
     detect_gaps,
     load_session,
     save_session,
@@ -34,6 +36,7 @@ from oracles import (
     random_recording,
     with_hand_byte,
     with_octet,
+    write_csv_reference,
 )
 
 
@@ -587,6 +590,14 @@ def test_csv_timestamp_diagnostic_names_its_column_once(tmp_path):
     assert exc.value.column == "timestamp_ms"
 
 
+def test_csv_row_cut_by_a_line_feed_is_malformed(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(f"{CSV_HEADER}\nu\nv,novice,1,left{',7' * 14}\n", encoding="utf-8")
+    with pytest.raises(MalformedFile, match="expected 18 fields, got 1") as exc:
+        load_session(path)
+    assert exc.value.line == 2
+
+
 def test_csv_lone_carriage_return_is_malformed(tmp_path):
     path = tmp_path / "r.csv"
     save_session(make_recording(2), path, format="csv")
@@ -603,6 +614,25 @@ def test_csv_oversized_field_is_malformed(tmp_path):
     with pytest.raises(MalformedFile) as exc:
         load_session(path)
     assert exc.value.line == 2
+
+
+def test_csv_user_id_with_a_lone_carriage_return_round_trips(tmp_path):
+    recording = make_recording(3, user_id="a\rb")
+    path = tmp_path / "r.csv"
+    save_session(recording, path)
+    assert path.read_bytes().split(b"\n")[1].startswith(b'"a\rb",')
+    assert load_session(path) == recording
+
+
+def test_plain_csv_file_is_read_without_the_per_row_parser(tmp_path, monkeypatch):
+    def per_row_parser(reader):
+        raise AssertionError("a plain file went to the per-row parser")
+
+    recording = synth(duration_s=90.0)  # 4,500 rows: more than one block
+    path = tmp_path / "r.csv"
+    save_session(recording, path)
+    monkeypatch.setattr(ingest, "_csv_rows", per_row_parser)
+    assert load_session(path) == recording
 
 
 def test_binary_frame_with_unknown_hand_byte_is_malformed(tmp_path):
@@ -745,6 +775,11 @@ CSV_FIELDS = st.one_of(
         "-1", "65535", "65536", "4294967295", "4294967296", "18446744073709551616"))),
     st.tuples(st.integers(2, 17), st.sampled_from((
         "", " 7", "+7", "7.0", "1_0", "007", "1e3", "\u0663", "x"))),
+    # csv.reader ends no line at \x0c or \u2028, which int() strips, and it
+    # refuses a field past csv.field_size_limit() that int() takes
+    st.tuples(st.integers(2, 17), st.sampled_from((
+        "7\x00", "\x0c7", "7\u2028", " " * 131072 + "5"))),
+    st.tuples(st.just(0), st.sampled_from(("a\x00b", "a\x0cb", "a\u2028b"))),
     st.tuples(st.just(1), st.sampled_from(("", "x", "NOVICE", "Expert", "trained"))),
     st.tuples(st.just(3), st.sampled_from(("", "x", "LEFT", "right", "Right "))),
 )
@@ -754,6 +789,8 @@ CSV_EDITS = st.lists(
         st.tuples(st.just("column"), CSV_FIELDS),
         st.tuples(st.sampled_from(("swap", "repeat", "blank")), st.integers(0, 2**32 - 1),
                   st.integers(0, 2**32 - 1)),
+        # CRLF line ends, every field quoted, no LF after the last row
+        st.tuples(st.sampled_from(("crlf", "quote", "cut"))),
     ),
     max_size=3,
 )
@@ -763,10 +800,11 @@ CSV_EDITS = st.lists(
 @given(seed=st.integers(0, 2**32 - 1), edits=CSV_EDITS,
        damage=st.one_of(st.just([]), FILE_DAMAGE))
 def test_csv_loader_agrees_with_the_per_row_reference(seed, edits, damage):
-    text = io.StringIO()
-    _write_csv(random_recording(random.Random(seed), max_frames=20), text)
-    header, *rows = csv.reader(io.StringIO(text.getvalue()))
+    text = _csv_text(random_recording(random.Random(seed), max_frames=20))
+    header, *rows = csv.reader(io.StringIO(text))
     for kind, *args in edits:
+        if not args:
+            continue
         if kind in ("cell", "column"):
             *where, (column, text) = args
             for row in [rows[where[0] % len(rows)]] if where else rows:
@@ -778,10 +816,32 @@ def test_csv_loader_agrees_with_the_per_row_reference(seed, edits, damage):
             rows[a], rows[b] = rows[b], rows[a]
         else:
             rows.insert(a, list(rows[a]) if kind == "repeat" else [])
+    terminator = "\r\n" if ("crlf",) in edits else "\n"
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows([header, *rows])
-    blob = damage_file(text.getvalue().encode("utf-8"), damage)
+    csv.writer(text, lineterminator=terminator,
+               quoting=csv.QUOTE_ALL if ("quote",) in edits else csv.QUOTE_MINIMAL,
+               ).writerows([header, *rows])
+    text = text.getvalue()
+    if ("cut",) in edits:
+        text = text.removesuffix(terminator)
+    blob = damage_file(text.encode("utf-8"), damage)
     assert_agree(_parse_csv, parse_csv_reference, blob, "r.csv")
+
+
+# user_id text: what csv.writer quotes, what it need not, and what a format string would take
+USER_IDS = st.text(st.sampled_from(',"\n\r\x00\x0c\u2028 é%abXY'), max_size=8)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), user_id=USER_IDS)
+def test_csv_writer_agrees_with_the_csv_writer_reference(tmp_path, seed, user_id):
+    recording = replace(random_recording(random.Random(seed), max_frames=8), user_id=user_id)
+    # the reference leaves a CR unquoted unless a comma, quote or LF quotes the id anyway
+    lone_cr = "\r" in user_id and not set(',"\n') & set(user_id)
+    assert (_csv_text(recording) == write_csv_reference(recording)) != lone_cr
+    path = tmp_path / "r.csv"
+    save_session(recording, path)
+    assert load_session(path) == recording  # user_id, expertise, session_index, hand, frames
 
 
 @st.composite

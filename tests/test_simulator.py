@@ -132,6 +132,11 @@ def test_calibrate_examples():
         calibrate_to_cell(98, -0.1, 10)
 
 
+def test_calibrate_refuses_a_nan_sem():
+    with pytest.raises(ValueError, match="sem_target must be >= 0"):
+        calibrate_to_cell(1.0, math.nan, 5)
+
+
 def test_calibrated_samples_match_targets():
     import random
 

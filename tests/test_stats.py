@@ -230,6 +230,19 @@ def test_f_upper_tail_invalid_inputs():
         f_upper_tail(-0.5, 1, 1)
 
 
+def test_nan_is_refused_before_the_continued_fraction():
+    with pytest.raises(ValueError, match="F statistic must be >= 0"):
+        f_upper_tail(math.nan, 1, 10)
+    with pytest.raises(ValueError, match="a and b must be positive"):
+        regularized_incomplete_beta(math.nan, 1, 0.5)
+    with pytest.raises(ValueError, match="a and b must be positive"):
+        regularized_incomplete_beta(1, math.nan, 0.5)
+    with pytest.raises(ValueError, match="x must be a number"):
+        regularized_incomplete_beta(1, 1, math.nan)
+    with pytest.raises(ValueError, match="F statistic must be >= 0"):
+        two_way_anova(TOY_DESIGN[:-1] + [("A2", "B2", math.nan)])
+
+
 def test_incomplete_beta_closed_forms():
     # I_x(1, 1) = x and I_x(2, 2) = 3x^2 - 2x^3
     for x in (0.1, 0.25, 0.5, 0.8, 0.99):
