@@ -1,14 +1,15 @@
 """Command-line pipeline: simulate, stream, record, analyze, compare, export.
 
-Exit codes: 0 success, 1 usage error, 2 data/processing error. A flag value
-that argparse converts (--sensor, --window-ms, --speed, --to, and record's
---listen, --session, --connections, --timeout) is checked by the library's
-rule as it is parsed, so a bad one exits 1 before any file is read or socket
-bound; a simulate setting that session_spec rejects, from a flag or a config
-file (--duration 0 included), exits 2. Diagnostics go to stderr; data goes to
-stdout or the requested files. Each simulate setting comes from its flag,
-else the --config file, else (seed only) GRIPSTREAM_SEED, else the preset;
-compare's --seed falls back to GRIPSTREAM_SEED, then 0.
+Exit codes: 0 success, 1 usage error (UsageError), 2 data/processing error
+(any other ValueError or OSError, the bases of every gripstream error). A flag
+value that argparse converts (--sensor, --window-ms, --speed, --to, and
+record's --listen, --user-id, --session, --connections, --timeout) is checked
+by its rule as it is parsed, so a bad one exits 1 before any file is read or
+socket bound; a simulate setting that session_spec rejects, from a flag or a
+config file (--duration 0 included), exits 2. Diagnostics go to stderr; data
+goes to stdout or the requested files. Each simulate setting comes from its
+flag, else the --config file, else (seed only) GRIPSTREAM_SEED, else the
+preset; compare's --seed falls back to GRIPSTREAM_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def _speed_flag(text: str) -> float:
         return simulator.check_speed(math.inf if text.lower() in ("max", "inf") else float(text))
     except ValueError:  # float's own message names neither form the flag takes
         raise ValueError(f"must be a positive number or 'max', got {text!r}") from None
+
+
+@_flag
+def _user_id_flag(text: str) -> str:
+    """A user id that can start a file name: no path separator, no NUL."""
+    if any(sep in text for sep in {"/", os.sep, os.altsep or "/", "\0"}):
+        raise ValueError(f"user id must hold no path separator or NUL, got {text!r}")
+    return text
 
 
 def _session_spec(args) -> simulator.SessionSpec:
@@ -279,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="receive glove streams and save recordings")
     p.add_argument("--listen", type=_endpoint_flag, default="127.0.0.1:0",
                    help="bind HOST:PORT (port 0 = ephemeral)")
-    p.add_argument("--user-id", default="user")
+    p.add_argument("--user-id", type=_user_id_flag, default="user",
+                   help="starts each file name: no path separator or NUL")
     p.add_argument("--expertise", choices=[e.value for e in Expertise], required=True)
     p.add_argument("--session", type=_flag(lambda text: simulator.check_session(int(text))),
                    default="1", help="session index 1..10")
@@ -340,7 +350,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"gripstream: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (ValueError, OSError, stats.ConvergenceError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gripstream: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

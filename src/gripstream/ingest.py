@@ -47,7 +47,6 @@ from .protocol import (
     encode_frames,
 )
 from .recording import (
-    EmptyRecording,
     Expertise,
     IoFailure,
     MisplacedFrame,
@@ -169,7 +168,7 @@ class GapReport:
 def detect_gaps(recording: SessionRecording) -> GapReport:
     """Find seq holes. Expected count spans first..last seq inclusive."""
     if not recording.frames:
-        raise EmptyRecording("cannot detect gaps in an empty recording")
+        raise ValueError("cannot detect gaps in an empty recording")
     seq = recording.frames.seq
     # seq strictly increases, so a hole is >= 0 and true exactly when frames are missing
     holes = list(map(sub, map(sub, islice(seq, 1, None), seq), repeat(1)))

@@ -17,7 +17,7 @@ from itertools import islice
 from operator import gt, itemgetter
 
 from .protocol import NOMINAL_INTERVAL_MS, SENSOR_COUNT, SensorId
-from .recording import EmptyRecording, IoFailure, SessionRecording
+from .recording import IoFailure, SessionRecording
 
 PROFILE_CSV_HEADER = "window_index,start_ms,value_mv,sample_count"
 DEFAULT_WINDOW_MS = 2000
@@ -31,14 +31,6 @@ class Statistic(str, Enum):
 class PartialPolicy(str, Enum):
     DROP_INCOMPLETE = "drop"
     KEEP_PARTIAL = "keep"
-
-
-class EmptySeries(ValueError):
-    """A windowing operation got a series without samples."""
-
-
-class BadWindow(ValueError):
-    """Window length that is not a positive multiple of the 20 ms cadence."""
 
 
 @dataclass(frozen=True)
@@ -65,16 +57,16 @@ class GripForceProfile:
 def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> list[tuple[int, int]]:
     """(timestamp_ms, amplitude mV) for one sensor, one entry per frame."""
     if not recording.frames:
-        raise EmptyRecording("recording has no frames")
+        raise ValueError("recording has no frames")
     slot = (sensor if isinstance(sensor, SensorId) else SensorId.of(int(sensor))).index - 1
     frames = recording.frames
     return list(zip(frames.timestamp_ms, frames.amplitudes[slot::SENSOR_COUNT]))
 
 
 def check_window(window_ms: int) -> int:
-    """``window_ms`` if it is a positive multiple of the 20 ms cadence, else BadWindow."""
+    """``window_ms`` if it is a positive multiple of the 20 ms cadence, else ValueError."""
     if window_ms <= 0 or window_ms % NOMINAL_INTERVAL_MS != 0:
-        raise BadWindow(
+        raise ValueError(
             f"window_ms must be a positive multiple of {NOMINAL_INTERVAL_MS}, got {window_ms}"
         )
     return window_ms
@@ -97,7 +89,7 @@ def window_profile(
     """
     samples = list(series)
     if not samples:
-        raise EmptySeries("cannot profile an empty series")
+        raise ValueError("cannot profile an empty series")
     check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
@@ -127,7 +119,7 @@ def window_profile(
 def task_time(recording: SessionRecording) -> float:
     """Session duration in seconds: (last - first timestamp + one 20 ms slot) / 1000."""
     if not recording.frames:
-        raise EmptyRecording("recording has no frames")
+        raise ValueError("recording has no frames")
     times = recording.frames.timestamp_ms
     return (times[-1] - times[0] + NOMINAL_INTERVAL_MS) / 1000
 

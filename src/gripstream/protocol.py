@@ -91,31 +91,15 @@ SENSORS = tuple(SensorId.of(i) for i in range(1, SENSOR_COUNT + 1))
 
 
 class FrameError(ValueError):
-    """A byte buffer that cannot be decoded as a glove frame."""
+    """A byte buffer that cannot be decoded as a glove frame.
+
+    The message names the cause; ``offset`` is the byte at fault: 0 magic,
+    1 version, 2 hand, 39 CRC, or the length of a buffer that is not 41 octets.
+    """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class Truncated(FrameError):
-    """Buffer length differs from the fixed 41-octet frame size."""
-
-
-class BadMagic(FrameError):
-    """First octet is not the frame magic 0xA5."""
-
-
-class UnsupportedVersion(FrameError):
-    """Well-formed frame with a protocol version this codec does not speak."""
-
-
-class CrcMismatch(FrameError):
-    """Checksum failure; the frame was corrupted in transit."""
-
-
-class EmptyStream(ValueError):
-    """Fewer frames than an operation needs."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,20 +247,19 @@ def encode_frame(frame: GloveFrame) -> bytes:
 def decode_frame(data: bytes) -> GloveFrame:
     """Parse one 41-octet buffer back into a GloveFrame.
 
-    Raises Truncated, BadMagic, CrcMismatch, UnsupportedVersion, or a
-    plain FrameError for a hand byte other than 0 or 1; every error
-    carries the offending byte offset.
+    Raises FrameError for a wrong length, magic, CRC, version or hand
+    octet; its ``offset`` is the offending byte.
     """
     if len(data) != FRAME_SIZE:
-        raise Truncated(f"frame must be {FRAME_SIZE} octets, got {len(data)}", len(data))
+        raise FrameError(f"frame must be {FRAME_SIZE} octets, got {len(data)}", len(data))
     if data[0] != FRAME_MAGIC:
-        raise BadMagic(f"expected magic 0x{FRAME_MAGIC:02X}, got 0x{data[0]:02X}", 0)
+        raise FrameError(f"expected magic 0x{FRAME_MAGIC:02X}, got 0x{data[0]:02X}", 0)
     expected = _CRC.unpack_from(data, CRC_OFFSET)[0]
     actual = crc16(data[:CRC_OFFSET])
     if actual != expected:
-        raise CrcMismatch(f"crc 0x{actual:04X} != stored 0x{expected:04X}", CRC_OFFSET)
+        raise FrameError(f"crc 0x{actual:04X} != stored 0x{expected:04X}", CRC_OFFSET)
     if data[1] != FRAME_VERSION:
-        raise UnsupportedVersion(f"protocol version {data[1]} not supported", 1)
+        raise FrameError(f"protocol version {data[1]} not supported", 1)
     fields = _BODY.unpack_from(data)
     if fields[2] >= len(_HAND_BY_CODE):
         raise FrameError(f"unknown hand code {fields[2]}", 2)
@@ -385,7 +368,7 @@ def validate_cadence(frames, tolerance_ms: float = 0) -> CadenceReport:
     if not isinstance(frames, Frames):
         frames = Frames.of(frames)
     if len(frames) < 2:
-        raise EmptyStream(f"cadence needs at least 2 frames, got {len(frames)}")
+        raise ValueError(f"cadence needs at least 2 frames, got {len(frames)}")
     if not tolerance_ms >= 0:
         raise ValueError("tolerance_ms must be >= 0")
     times = frames.timestamp_ms

@@ -16,10 +16,6 @@ class Expertise(str, Enum):
     EXPERT = "expert"
 
 
-class EmptyRecording(ValueError):
-    """An operation that needs frames got a recording without any."""
-
-
 class MisplacedFrame(ValueError):
     """A frame out of seq order or of the wrong hand; ``index`` is its position."""
 

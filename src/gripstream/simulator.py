@@ -54,10 +54,6 @@ def check_speed(speed: float) -> float:
     return speed
 
 
-class InvalidN(ValueError):
-    """Observation count below 1."""
-
-
 class ConnectionRefused(OSError):
     """The receiving endpoint could not be reached; nothing was sent."""
 
@@ -167,9 +163,11 @@ def calibrate_to_cell(mean_target: float, sem_target: float, n: int) -> tuple[fl
     SEM = sd / sqrt(n), so sd = SEM * sqrt(n).
     """
     if n < 1:
-        raise InvalidN(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     if not sem_target >= 0:
         raise ValueError("sem_target must be >= 0")
+    if not math.isfinite(mean_target) or sem_target == math.inf:
+        raise ValueError(f"targets must be finite, got mean {mean_target}, SEM {sem_target}")
     return mean_target, sem_target * math.sqrt(n)
 
 

@@ -28,14 +28,6 @@ from .recording import Expertise
 from .simulator import DEFAULT_CELL_N, S7_SESSION_CELLS, calibrate_to_cell
 
 
-class EmptyInput(ValueError):
-    """A summary was requested for zero values."""
-
-
-class EmptyCell(ValueError):
-    """A factor-level combination has no observations."""
-
-
 class UnbalancedDesign(ValueError):
     """Cell observation counts differ; carries the per-cell counts."""
 
@@ -43,18 +35,6 @@ class UnbalancedDesign(ValueError):
         detail = ", ".join(f"{cell}: n={n}" for cell, n in sorted(counts.items(), key=str))
         super().__init__(f"cell counts must be equal ({detail})")
         self.counts = counts
-
-
-class InsufficientReplication(ValueError):
-    """Some cell has fewer than 2 observations."""
-
-
-class InvalidDf(ValueError):
-    """Degrees of freedom below 1."""
-
-
-class ConvergenceError(ArithmeticError):
-    """The incomplete beta continued fraction failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -71,18 +51,29 @@ class CellSummary:
     degenerate: bool = False
 
 
+def _finite_sum(values, where: str) -> float:
+    """``math.fsum(values)``, or ValueError naming ``where`` if that is not a finite number."""
+    try:
+        total = math.fsum(values)
+    except (ValueError, OverflowError) as exc:  # -inf + inf, or a finite sum past the float range
+        raise ValueError(f"{where}: {exc}") from None
+    if not math.isfinite(total):  # a nan, or infinities of one sign, among the values
+        raise ValueError(f"{where} holds {total}")
+    return total
+
+
 def _ss_about(values, centre: float) -> float:
     """sum((v - centre) ** 2 for v in values), summed exactly."""
     return math.fsum(map(pow, map(sub, values, repeat(centre)), repeat(2)))
 
 
 def mean_sem(values) -> CellSummary:
-    """Arithmetic mean and SEM (unbiased sd / sqrt(n)) of a sample."""
+    """Arithmetic mean and SEM (unbiased sd / sqrt(n)) of a sample of finite values."""
     values = list(map(float, values))
     n = len(values)
     if n == 0:
-        raise EmptyInput("cannot summarize zero values")
-    mean = math.fsum(values) / n
+        raise ValueError("cannot summarize zero values")
+    mean = _finite_sum(values, "sample") / n
     if n == 1:
         return CellSummary(mean, 0.0, 1, degenerate=True)
     return CellSummary(mean, math.sqrt(_ss_about(values, mean) / (n - 1) / n), n)
@@ -150,8 +141,8 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
 
     ``observations`` is an iterable of (level_a, level_b, value). Every
     combination of the observed levels must be present with the same
-    number (>= 2) of observations; violations raise EmptyCell,
-    UnbalancedDesign or InsufficientReplication.
+    number (>= 2) of finite observations; violations raise ValueError, or
+    UnbalancedDesign (which carries the per-cell ``counts``) for unequal counts.
 
     When the error mean square is zero no F ratio exists: F is reported
     as None ("not applicable"), with p = 1 when the effect sum of squares
@@ -176,17 +167,17 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
     for la in levels_a:
         for lb in levels_b:
             if (la, lb) not in cells:
-                raise EmptyCell(f"no observations for cell ({la!r}, {lb!r})")
+                raise ValueError(f"no observations for cell ({la!r}, {lb!r})")
     counts = {cell: len(vals) for cell, vals in cells.items()}
     if len(set(counts.values())) != 1:
         raise UnbalancedDesign(counts)
     n = next(iter(counts.values()))
     if n < 2:
-        raise InsufficientReplication(f"every cell needs >= 2 observations, got n={n}")
+        raise ValueError(f"every cell needs >= 2 observations, got n={n}")
 
     a, b = len(levels_a), len(levels_b)
     total = a * b * n
-    cell_sum = {cell: math.fsum(vals) for cell, vals in cells.items()}
+    cell_sum = {cell: _finite_sum(vals, f"cell {cell!r}") for cell, vals in cells.items()}
     grand = math.fsum(cell_sum.values()) / total
     cell_mean = {cell: s / n for cell, s in cell_sum.items()}
     row_mean = {la: math.fsum(cell_mean[(la, lb)] for lb in levels_b) / b for la in levels_a}
@@ -256,7 +247,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise ConvergenceError(f"betacf(a={a}, b={b}, x={x}) did not converge")
+    raise ValueError(f"betacf(a={a}, b={b}, x={x}) did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -293,7 +284,7 @@ def f_upper_tail(f: float, df1: int, df2: int) -> float:
     the smallest positive float instead.
     """
     if df1 < 1 or df2 < 1:
-        raise InvalidDf(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
+        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if not f >= 0:
         raise ValueError(f"F statistic must be >= 0, got {f}")
     if f == 0.0:
@@ -353,7 +344,7 @@ def reconstruct_paper_cells(n_per_cell: int = DEFAULT_CELL_N, seed: int = 0) -> 
     Degrees of freedom, significance and the cell summaries are reproducible.
     """
     if n_per_cell < 2:
-        raise InsufficientReplication(f"need n_per_cell >= 2, got {n_per_cell}")
+        raise ValueError(f"need n_per_cell >= 2, got {n_per_cell}")
     rng = random.Random(seed)
     observations = []
     cells: dict[tuple[str, str], CellSummary] = {}

@@ -216,8 +216,6 @@ def two_way_anova_reference(observations, factor_names=("A", "B")):
     from gripstream.stats import (
         AnovaTable,
         EffectRow,
-        EmptyCell,
-        InsufficientReplication,
         UnbalancedDesign,
         f_upper_tail,
     )
@@ -239,13 +237,13 @@ def two_way_anova_reference(observations, factor_names=("A", "B")):
     for la in levels_a:
         for lb in levels_b:
             if (la, lb) not in cells:
-                raise EmptyCell(f"no observations for cell ({la!r}, {lb!r})")
+                raise ValueError(f"no observations for cell ({la!r}, {lb!r})")
     counts = {cell: len(vals) for cell, vals in cells.items()}
     if len(set(counts.values())) != 1:
         raise UnbalancedDesign(counts)
     n = next(iter(counts.values()))
     if n < 2:
-        raise InsufficientReplication(f"every cell needs >= 2 observations, got n={n}")
+        raise ValueError(f"every cell needs >= 2 observations, got n={n}")
 
     a, b = len(levels_a), len(levels_b)
     total = a * b * n
@@ -287,12 +285,12 @@ def two_way_anova_reference(observations, factor_names=("A", "B")):
 
 def mean_sem_reference(values):
     """``stats.mean_sem`` with a ``(v - mean) ** 2`` generator."""
-    from gripstream.stats import CellSummary, EmptyInput
+    from gripstream.stats import CellSummary
 
     values = [float(v) for v in values]
     n = len(values)
     if n == 0:
-        raise EmptyInput("cannot summarize zero values")
+        raise ValueError("cannot summarize zero values")
     mean = math.fsum(values) / n
     if n == 1:
         return CellSummary(mean, 0.0, 1, degenerate=True)
@@ -304,7 +302,6 @@ def window_profile_reference(series, window_ms=2000, statistic="mean",
                              partial_policy="drop", sensor=None):
     """``profiling.window_profile`` bucketing each sample through a dict."""
     from gripstream.profiling import (
-        EmptySeries,
         GripForceProfile,
         PartialPolicy,
         ProfileWindow,
@@ -315,7 +312,7 @@ def window_profile_reference(series, window_ms=2000, statistic="mean",
 
     samples = list(series)
     if not samples:
-        raise EmptySeries("cannot profile an empty series")
+        raise ValueError("cannot profile an empty series")
     check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import pkgutil
 import socket
 import threading
 import time
@@ -6,10 +8,24 @@ from dataclasses import replace
 
 import pytest
 
+import gripstream
 from gripstream.cli import main
 from gripstream.ingest import load_session, save_session
 from gripstream.protocol import GloveFrame, Hand
 from gripstream.recording import Expertise, SessionRecording
+
+
+def test_every_gripstream_error_is_a_value_or_os_error():
+    """So main's one rule, UsageError exits 1 and ValueError or OSError exits 2, covers all."""
+    modules = [importlib.import_module(f"gripstream.{m.name}")
+               for m in pkgutil.iter_modules(gripstream.__path__)]
+    errors = {cls for module in modules for cls in vars(module).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException)
+              and cls.__module__.startswith("gripstream")}
+    assert [cls for cls in errors if not issubclass(cls, (ValueError, OSError))] == []
+    assert sorted(cls.__name__ for cls in errors) == [
+        "BindFailure", "ConnectionLost", "ConnectionRefused", "FrameError", "IoFailure",
+        "MalformedFile", "MisplacedFrame", "UnbalancedDesign", "UsageError"]
 
 
 def free_port() -> int:
@@ -408,6 +424,8 @@ BAD_ENDPOINTS = ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", ":80", "1
     ("--timeout", "nan", "timeout must be positive and finite, got nan"),
     ("--timeout", "-1", "timeout must be positive and finite, got -1.0"),
     ("--timeout", "0", "timeout must be positive and finite, got 0.0"),
+    *(("--user-id", user_id, f"user id must hold no path separator or NUL, got {user_id!r}")
+      for user_id in ("a/b", "../up", "a\0b")),
 ])
 def test_record_rejects_bad_receiver_flags_before_listening(tmp_path, capsys, no_listener,
                                                             flag, value, message):

@@ -26,7 +26,7 @@ from gripstream.ingest import (
     save_session,
 )
 from gripstream.protocol import FRAME_SIZE, GloveFrame, Hand, encode_frame
-from gripstream.recording import EmptyRecording, Expertise, SessionRecording
+from gripstream.recording import Expertise, SessionRecording
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
 from oracles import (
     FrameStreamDecoderReference,
@@ -441,7 +441,7 @@ def test_detect_gaps_random_drop_accounts_for_everything():
 
 def test_detect_gaps_empty_recording():
     recording = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(EmptyRecording):
+    with pytest.raises(ValueError, match="^cannot detect gaps in an empty recording$"):
         detect_gaps(recording)
 
 

@@ -4,8 +4,6 @@ import random
 import pytest
 
 from gripstream.profiling import (
-    BadWindow,
-    EmptySeries,
     PartialPolicy,
     Statistic,
     profile_csv,
@@ -15,7 +13,7 @@ from gripstream.profiling import (
     window_profile,
 )
 from gripstream.protocol import GloveFrame, Hand, SensorId
-from gripstream.recording import EmptyRecording, Expertise, SessionRecording
+from gripstream.recording import Expertise, SessionRecording
 from gripstream.simulator import SessionSpec, UserProfile, synthesize_session
 
 
@@ -71,7 +69,7 @@ def test_series_every_sensor_has_full_length():
 
 def test_series_empty_recording():
     empty = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(EmptyRecording):
+    with pytest.raises(ValueError, match="^recording has no frames$"):
         sensor_series(empty, 7)
 
 
@@ -108,10 +106,11 @@ def test_windows_anchor_at_first_timestamp():
 
 
 def test_window_errors():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(ValueError, match="^cannot profile an empty series$"):
         window_profile([])
     for bad in (1999, 0, -20, 30):
-        with pytest.raises(BadWindow):
+        with pytest.raises(ValueError,
+                           match=f"^window_ms must be a positive multiple of 20, got {bad}$"):
             window_profile(series_of([1] * 10), window_ms=bad)
     with pytest.raises(ValueError, match="non-decreasing"):
         window_profile([(40, 1), (20, 2)] + series_of([1] * 98, t0=60))
@@ -186,7 +185,7 @@ def test_task_time_single_frame():
 
 def test_task_time_empty():
     empty = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(EmptyRecording):
+    with pytest.raises(ValueError, match="^recording has no frames$"):
         task_time(empty)
 
 

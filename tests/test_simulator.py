@@ -9,7 +9,6 @@ from gripstream.protocol import FRAME_SIZE, Hand, decode_frame, validate_cadence
 from gripstream.recording import Expertise
 from gripstream.simulator import (
     ConnectionRefused,
-    InvalidN,
     SessionSpec,
     UserProfile,
     calibrate_to_cell,
@@ -126,7 +125,7 @@ def test_calibrate_examples():
     _, sd = calibrate_to_cell(594, 1.8, 721)
     assert sd == pytest.approx(48.33, abs=0.005)
     assert calibrate_to_cell(50, 0, 10) == (50, 0)
-    with pytest.raises(InvalidN):
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
         calibrate_to_cell(98, 1.2, 0)
     with pytest.raises(ValueError):
         calibrate_to_cell(98, -0.1, 10)
@@ -135,6 +134,13 @@ def test_calibrate_examples():
 def test_calibrate_refuses_a_nan_sem():
     with pytest.raises(ValueError, match="sem_target must be >= 0"):
         calibrate_to_cell(1.0, math.nan, 5)
+
+
+@pytest.mark.parametrize("mean, sem", [(math.nan, 1.2), (math.inf, 1.2), (-math.inf, 1.2),
+                                       (1.0, math.inf)])
+def test_calibrate_refuses_non_finite_targets(mean, sem):
+    with pytest.raises(ValueError, match=f"^targets must be finite, got mean {mean}, SEM {sem}$"):
+        calibrate_to_cell(mean, sem, 5)
 
 
 def test_calibrated_samples_match_targets():

@@ -1,14 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
 from gripstream.stats import (
     CellSummary,
-    EmptyCell,
-    EmptyInput,
-    InsufficientReplication,
-    InvalidDf,
     REFERENCE_CELLS,
     UnbalancedDesign,
     closed_form_interaction_f,
@@ -67,7 +64,7 @@ def test_mean_sem_degenerate_single_value():
 
 
 def test_mean_sem_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="^cannot summarize zero values$"):
         mean_sem([])
 
 
@@ -109,13 +106,13 @@ def test_anova_degenerate_all_equal():
 
 
 def test_anova_validation_errors():
-    with pytest.raises(EmptyCell):
+    with pytest.raises(ValueError, match=r"^no observations for cell \('b', 'y'\)$"):
         two_way_anova([("a", "x", 1), ("a", "y", 2), ("b", "x", 3)] * 2)
     with pytest.raises(UnbalancedDesign) as exc:
         two_way_anova(TOY_DESIGN + [("A1", "B1", 9)])
     assert exc.value.counts[("A1", "B1")] == 3
     assert "n=3" in str(exc.value) and "n=2" in str(exc.value)
-    with pytest.raises(InsufficientReplication):
+    with pytest.raises(ValueError, match="^every cell needs >= 2 observations, got n=1$"):
         two_way_anova([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
     with pytest.raises(ValueError, match="levels"):
         two_way_anova([("a", "x", 1), ("a", "x", 2), ("a", "y", 3), ("a", "y", 4)])
@@ -222,9 +219,9 @@ def test_f_upper_tail_against_integration_oracle():
 
 
 def test_f_upper_tail_invalid_inputs():
-    with pytest.raises(InvalidDf):
+    with pytest.raises(ValueError, match=r"^degrees of freedom must be >= 1, got \(0, 5\)$"):
         f_upper_tail(1.0, 0, 5)
-    with pytest.raises(InvalidDf):
+    with pytest.raises(ValueError, match=r"^degrees of freedom must be >= 1, got \(5, 0\)$"):
         f_upper_tail(1.0, 5, 0)
     with pytest.raises(ValueError):
         f_upper_tail(-0.5, 1, 1)
@@ -239,8 +236,30 @@ def test_nan_is_refused_before_the_continued_fraction():
         regularized_incomplete_beta(1, math.nan, 0.5)
     with pytest.raises(ValueError, match="x must be a number"):
         regularized_incomplete_beta(1, 1, math.nan)
-    with pytest.raises(ValueError, match="F statistic must be >= 0"):
+    with pytest.raises(ValueError, match=r"^cell \('A2', 'B2'\) holds nan$"):
         two_way_anova(TOY_DESIGN[:-1] + [("A2", "B2", math.nan)])
+
+
+NON_FINITE = [
+    ((7.0, math.nan), " holds nan"),
+    ((7.0, math.inf), " holds inf"),
+    ((-math.inf, 7.0), " holds -inf"),
+    ((-math.inf, math.inf), ": -inf + inf in fsum"),
+    ((1e308, 1e308), ": intermediate overflow in fsum"),
+]
+
+
+@pytest.mark.parametrize("values, message", NON_FINITE)
+def test_mean_sem_refuses_a_non_finite_sample(values, message):
+    with pytest.raises(ValueError, match="^" + re.escape("sample" + message) + "$"):
+        mean_sem([1.0, *values, 2.0])
+
+
+@pytest.mark.parametrize("values, message", NON_FINITE)
+def test_anova_refuses_a_non_finite_cell_and_names_it(values, message):
+    observations = TOY_DESIGN[:-2] + [("A2", "B2", v) for v in values]
+    with pytest.raises(ValueError, match="^" + re.escape("cell ('A2', 'B2')" + message) + "$"):
+        two_way_anova(observations)
 
 
 def test_incomplete_beta_closed_forms():
@@ -313,5 +332,5 @@ def test_closed_form_interaction_f_is_the_anova_f_of_cells_with_those_summaries(
 def test_reconstruction_custom_n():
     result = reconstruct_paper_cells(n_per_cell=10, seed=3)
     assert result.table.error.df == 36
-    with pytest.raises(InsufficientReplication):
+    with pytest.raises(ValueError, match="^need n_per_cell >= 2, got 1$"):
         reconstruct_paper_cells(n_per_cell=1)
