@@ -84,11 +84,18 @@ def _speed_flag(text: str) -> float:
         raise ValueError(f"must be a positive number or 'max', got {text!r}") from None
 
 
+# what a 255-byte file name leaves after record's longest suffix; far within the u16 of GFS1
+_USER_ID_MAX_BYTES = 255 - len("_s10_right_99999.bin")
+
+
 @_flag
 def _user_id_flag(text: str) -> str:
-    """A user id that can start a file name: no path separator, no NUL."""
+    """A user id that can start a file name: no path separator, no NUL, not too long."""
     if any(sep in text for sep in {"/", os.sep, os.altsep or "/", "\0"}):
         raise ValueError(f"user id must hold no path separator or NUL, got {text!r}")
+    size = len(text.encode("utf-8"))
+    if size > _USER_ID_MAX_BYTES:
+        raise ValueError(f"user id must be at most {_USER_ID_MAX_BYTES} UTF-8 bytes, got {size}")
     return text
 
 

@@ -28,9 +28,9 @@ import struct
 import time
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from operator import ge, sub
+from operator import sub
 
 from .protocol import (
     FRAME_MAGIC,
@@ -51,7 +51,7 @@ from .recording import (
     IoFailure,
     MisplacedFrame,
     SessionRecording,
-    first_misplaced,
+    placed,
 )
 
 BINARY_MAGIC = b"GFS1"
@@ -176,37 +176,6 @@ def detect_gaps(recording: SessionRecording) -> GapReport:
                      tuple(zip(compress(seq, holes), compress(holes, holes))))
 
 
-@dataclass
-class _Peer:
-    """What one accepted connection has delivered so far."""
-
-    decoder: FrameStreamDecoder = field(default_factory=FrameStreamDecoder)
-    kept: list[Frames] = field(default_factory=list)
-    hand: Hand | None = None
-    last_seq: int = -1
-    dropped: int = 0
-
-    def take(self, chunk: bytes) -> None:
-        """Keep each decoded frame of the first hand seen whose seq increases."""
-        frames = self.decoder.feed(chunk)
-        if not frames:
-            return
-        if self.hand is None:
-            self.hand = frames[0].hand
-        if frames.seq[0] <= self.last_seq or first_misplaced(frames, self.hand) < len(frames):
-            kept = []
-            for frame in frames:
-                if frame.hand != self.hand or frame.seq <= self.last_seq:
-                    self.dropped += 1
-                else:
-                    kept.append(frame)
-                    self.last_seq = frame.seq
-            frames = Frames.of(kept)
-        else:
-            self.last_seq = frames.seq[-1]
-        self.kept.append(frames)
-
-
 def check_connections(connections: int) -> int:
     """``connections`` if at least one glove is expected, else ValueError."""
     if not connections >= 1:
@@ -227,8 +196,10 @@ class SessionRecorder:
     :meth:`run` serves every connection from one selector loop in the
     caller's thread, under one overall deadline of ``timeout`` seconds. A
     recording is built only for a connection that delivered at least one
-    valid frame. The bound address is available as :attr:`address` before
-    :meth:`run` is called, so callers can bind port 0 and stream to the real port.
+    valid frame. Chunks are decoded as they arrive, on purpose: that work lets frames
+    pile up in the socket between reads. The recording rule (:func:`~.recording.placed`)
+    runs once per connection, at close. The bound address is available as :attr:`address`
+    before :meth:`run` is called, so callers can bind port 0 and stream to the real port.
     A bad endpoint, ``connections`` or ``timeout`` raises ValueError before any bind.
     """
 
@@ -257,7 +228,7 @@ class SessionRecorder:
         Recordings come back in accept order.
         """
         deadline = None if self._timeout is None else time.monotonic() + self._timeout
-        peers: list[_Peer] = []
+        peers: list[tuple[FrameStreamDecoder, list[Frames]]] = []
         with self._server, selectors.DefaultSelector() as selector, ExitStack() as conns:
             selector.register(self._server, selectors.EVENT_READ)
             while selector.get_map() and (deadline is None or time.monotonic() < deadline):
@@ -266,7 +237,7 @@ class SessionRecorder:
                 for key, _events in selector.select(wait):
                     if key.data is None:
                         conn = conns.enter_context(self._server.accept()[0])
-                        peers.append(_Peer())
+                        peers.append((FrameStreamDecoder(), []))
                         selector.register(conn, selectors.EVENT_READ, peers[-1])
                         if len(peers) == self._connections:
                             selector.unregister(self._server)
@@ -276,15 +247,19 @@ class SessionRecorder:
                     except OSError:
                         chunk = b""
                     if chunk:
-                        key.data.take(chunk)
+                        decoder, parts = key.data
+                        parts.append(decoder.feed(chunk))
                     else:
                         selector.unregister(key.fileobj)
                         key.fileobj.close()
-        return [
-            SessionRecording(*self._meta, peer.hand, Frames.concat(peer.kept),
-                             decode_errors=peer.decoder.errors, dropped_frames=peer.dropped)
-            for peer in peers if peer.hand is not None
-        ]
+        recordings = []
+        for decoder, parts in peers:
+            if frames := Frames.concat(parts):
+                kept = placed(frames, hand := Hand(frames.hands[0]))
+                recordings.append(SessionRecording(*self._meta, hand, kept,
+                                                   decode_errors=decoder.errors,
+                                                   dropped_frames=len(frames) - len(kept)))
+        return recordings
 
 
 def save_session(recording: SessionRecording, path, format: str | None = None) -> None:
@@ -462,10 +437,11 @@ def _csv_columns(text: str) -> SessionRecording | None:
         session_index = int(session_text)
     except (ValueError, KeyError, OverflowError):
         return None
-    if any(map(ge, seq, islice(seq, 1, None))):
-        return None
     frames = Frames(bytes((hand,)) * len(seq), seq, timestamps, amplitudes)
-    return SessionRecording(user_id, expertise, session_index, hand, frames)
+    try:
+        return SessionRecording(user_id, expertise, session_index, hand, frames)
+    except MisplacedFrame:  # seq not increasing: the per-row parser names the line
+        return None
 
 
 def _parse_csv(blob: bytes, name: str) -> SessionRecording:
@@ -501,10 +477,9 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             raise MalformedFile(
                 f"unknown expertise {expertise_text!r}", line=lineno, column="expertise"
             ) from None
-        hand_name = hand_text.lower()
-        if hand_name not in ("left", "right"):
+        hand = _HAND_BY_NAME.get(hand_text.lower())
+        if hand is None:
             raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
-        hand = Hand.LEFT if hand_name == "left" else Hand.RIGHT
         row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
         if meta is None:
             meta = row_meta

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count, islice
-from operator import ge
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, ge, gt, mul
 
-from .protocol import Frames, Hand
+from .protocol import SENSOR_COUNT, Frames, Hand
 
 
 class Expertise(str, Enum):
@@ -33,6 +34,20 @@ def first_misplaced(frames: Frames, hand: Hand) -> int:
     seq = frames.seq
     return min(len(frames) - len(frames.hands.lstrip(bytes((hand,)))),
                next(compress(count(1), map(ge, seq, islice(seq, 1, None))), len(frames)))
+
+
+def placed(frames: Frames, hand: Hand) -> Frames:
+    """Each frame of ``hand`` whose seq exceeds every seq kept before it: what a recording
+    keeps. ``frames`` itself when :func:`first_misplaced` finds none out of place."""
+    if first_misplaced(frames, hand) == len(frames):
+        return frames
+    # seq + 1 for a frame of ``hand``, 0 for another; a dropped frame never raises the max
+    rank = list(map(mul, map(add, frames.seq, repeat(1)), map(eq, frames.hands, repeat(hand))))
+    keep = list(map(gt, rank, accumulate(rank, max, initial=0)))
+    return Frames(bytes(compress(frames.hands, keep)), array("I", compress(frames.seq, keep)),
+                  array("Q", compress(frames.timestamp_ms, keep)),
+                  array("H", compress(frames.amplitudes, chain.from_iterable(
+                      map(repeat, keep, repeat(SENSOR_COUNT))))))
 
 
 @dataclass

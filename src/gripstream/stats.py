@@ -62,9 +62,10 @@ def _finite_sum(values, where: str) -> float:
     return total
 
 
-def _ss_about(values, centre: float) -> float:
-    """sum((v - centre) ** 2 for v in values), summed exactly."""
-    return math.fsum(map(pow, map(sub, values, repeat(centre)), repeat(2)))
+def _ss_about(values, centre: float, where: str) -> float:
+    """sum((v - centre) ** 2 for v in values), summed exactly; past the float range, ValueError."""
+    return _finite_sum(map(pow, map(sub, values, repeat(centre)), repeat(2)),
+                       f"squared deviations of {where}")
 
 
 def mean_sem(values) -> CellSummary:
@@ -76,7 +77,7 @@ def mean_sem(values) -> CellSummary:
     mean = _finite_sum(values, "sample") / n
     if n == 1:
         return CellSummary(mean, 0.0, 1, degenerate=True)
-    return CellSummary(mean, math.sqrt(_ss_about(values, mean) / (n - 1) / n), n)
+    return CellSummary(mean, math.sqrt(_ss_about(values, mean, "sample") / (n - 1) / n), n)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
         for la in levels_a
         for lb in levels_b
     )
-    ss_err = math.fsum(_ss_about(vals, cell_mean[cell]) for cell, vals in cells.items())
+    ss_err = math.fsum(_ss_about(vals, cell_mean[cell], f"cell {cell!r}")
+                       for cell, vals in cells.items())
 
     df_a, df_b = a - 1, b - 1
     df_ab, df_err = df_a * df_b, total - a * b

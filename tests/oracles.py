@@ -359,6 +359,19 @@ def check_frames_reference(frames, hand) -> None:
         last_seq = frame.seq
 
 
+def placed_reference(frames, hand) -> tuple[list, int]:
+    """(kept frames, dropped count) of the receiver's rule, one frame at a time: keep each
+    frame of ``hand`` whose seq exceeds the last kept seq."""
+    kept, dropped, last_seq = [], 0, -1
+    for frame in frames:
+        if frame.hand != hand or frame.seq <= last_seq:
+            dropped += 1
+        else:
+            kept.append(frame)
+            last_seq = frame.seq
+    return kept, dropped
+
+
 def from_binary_reference(blob: bytes):
     """``ingest._from_binary`` decoding and checking one frame at a time."""
     import struct

@@ -2,9 +2,12 @@ import hashlib
 import importlib
 import pkgutil
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,24 @@ def test_every_gripstream_error_is_a_value_or_os_error():
     assert sorted(cls.__name__ for cls in errors) == [
         "BindFailure", "ConnectionLost", "ConnectionRefused", "FrameError", "IoFailure",
         "MalformedFile", "MisplacedFrame", "UnbalancedDesign", "UsageError"]
+
+
+def test_every_gripstream_module_imports_only_the_standard_library():
+    """The runtime is stdlib-only: importing every module in a fresh interpreter adds no other."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"  # what site set up, before any gripstream import
+        "import gripstream\n"
+        "for m in pkgutil.iter_modules(gripstream.__path__):\n"
+        "    importlib.import_module('gripstream.' + m.name)\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'gripstream'}))\n"
+    )
+    src = str(Path(gripstream.__path__[0]).parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", script, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def free_port() -> int:
@@ -426,6 +447,7 @@ BAD_ENDPOINTS = ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", ":80", "1
     ("--timeout", "0", "timeout must be positive and finite, got 0.0"),
     *(("--user-id", user_id, f"user id must hold no path separator or NUL, got {user_id!r}")
       for user_id in ("a/b", "../up", "a\0b")),
+    ("--user-id", "é" * 118, "user id must be at most 235 UTF-8 bytes, got 236"),
 ])
 def test_record_rejects_bad_receiver_flags_before_listening(tmp_path, capsys, no_listener,
                                                             flag, value, message):

@@ -8,10 +8,10 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gripstream import ingest
+from gripstream import ingest, protocol
 from gripstream.ingest import (
     CSV_HEADER,
     FrameStreamDecoder,
@@ -25,14 +25,15 @@ from gripstream.ingest import (
     load_session,
     save_session,
 )
-from gripstream.protocol import FRAME_SIZE, GloveFrame, Hand, encode_frame
-from gripstream.recording import Expertise, SessionRecording
+from gripstream.protocol import FRAME_SIZE, Frames, GloveFrame, Hand, encode_frame, encode_frames
+from gripstream.recording import Expertise, SessionRecording, placed
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
 from oracles import (
     FrameStreamDecoderReference,
     check_frames_reference,
     from_binary_reference,
     parse_csv_reference,
+    placed_reference,
     random_recording,
     with_hand_byte,
     with_octet,
@@ -732,6 +733,43 @@ def test_recording_rule_agrees_with_the_per_frame_reference(pairs, hand):
         check_frames_reference(frames, hand)
 
     assert_agree(build, reference)
+
+
+L, R = Hand.LEFT, Hand.RIGHT
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(Hand), st.integers(0, 8)), max_size=20),
+       st.sampled_from(Hand))
+@example([(L, 0), (R, 1), (L, 2), (R, 3)], L)  # mixed hands
+@example([(R, 0), (L, 1), (L, 2)], L)  # a foreign hand first
+@example([(L, 0), (L, 1), (L, 1), (L, 2)], L)  # a repeated seq
+@example([(L, 0), (L, 5), (L, 3), (L, 4), (L, 6)], L)  # falling seqs
+def test_receiver_rule_agrees_with_the_per_frame_reference(pairs, hand):
+    frames = [GloveFrame(h, seq, seq * 20, (seq,) * 12) for h, seq in pairs]
+    want, dropped = placed_reference(frames, hand)
+    kept = placed(Frames.of(frames), hand)
+    assert (kept, len(frames) - len(kept)) == (want, dropped)
+
+
+def test_columnar_paths_build_no_frame_object(tmp_path, monkeypatch):
+    """Receive, load and synthesize clean input without one GloveFrame."""
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a GloveFrame was built")
+
+    monkeypatch.setattr(protocol, "_trusted_frame", no_frame)
+    monkeypatch.setattr(GloveFrame, "__post_init__", no_frame)
+    monkeypatch.setattr(ingest, "_csv_rows", no_frame)  # the CSV takes the split path
+    original = synth()
+    recorder, thread, holder = start_recorder(user_id=original.user_id,
+                                              expertise=original.expertise)
+    send_raw(recorder.address, bytes(encode_frames(original.frames)))
+    thread.join(timeout=10)
+    (received,) = holder["recordings"]
+    assert received == original
+    for name in ("r.bin", "r.csv"):
+        save_session(original, tmp_path / name)
+        assert load_session(tmp_path / name) == original
 
 
 # a version or hand octet rewritten under a valid CRC

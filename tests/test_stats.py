@@ -262,6 +262,14 @@ def test_anova_refuses_a_non_finite_cell_and_names_it(values, message):
         two_way_anova(observations)
 
 
+def test_squared_deviations_past_the_float_range_name_the_sample_or_cell():
+    with pytest.raises(ValueError, match=r"^squared deviations of sample: "):
+        mean_sem([1e200, -1e200])
+    observations = [(a, b, v) for a in "xy" for b in "pq" for v in (1e200, -1e200)]
+    with pytest.raises(ValueError, match=r"^squared deviations of cell \('x', 'p'\): "):
+        two_way_anova(observations)
+
+
 def test_incomplete_beta_closed_forms():
     # I_x(1, 1) = x and I_x(2, 2) = 3x^2 - 2x^3
     for x in (0.1, 0.25, 0.5, 0.8, 0.99):
