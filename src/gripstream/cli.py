@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import ingest, profiling, simulator, stats
 from .protocol import SensorId, check_endpoint
-from .recording import Expertise, IoFailure
+from .recording import Expertise, write_file
 
 SEED_ENV_VAR = "GRIPSTREAM_SEED"
 
@@ -190,75 +191,57 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _print_cells(cells: dict[tuple[str, str], stats.CellSummary], factor_names) -> None:
-    name_a, name_b = factor_names
-    print(f"{'cell':<32}{'mean':>10}{'sem':>10}{'n':>8}")
-    for (la, lb), summary in cells.items():
-        label = f"{name_a}={la} {name_b}={lb}"
-        print(f"{label:<32}{summary.mean:>10.2f}{summary.sem:>10.3f}{summary.n:>8}")
-
-
-def _write_table_csv(table: stats.AnovaTable, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(table.csv_rows())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _cmd_compare(args) -> int:
     if args.reconstruct_paper:
         if args.cell:
             raise UsageError("--reconstruct-paper and --cell are mutually exclusive")
-        result = stats.reconstruct_paper_cells(
-            n_per_cell=args.n_per_cell, seed=_resolve_seed(args.seed)
-        )
-        _print_cells(result.cells, ("expertise", "session"))
-        print()
-        print(result.table.to_text())
-        inter = result.table.interaction
-        print(
-            f"\ninteraction: F({inter.df}, {result.table.error.df}) = "
-            + (f"{inter.f:.2f}" if inter.f is not None else "n/a")
-            + (f", p = {inter.p:.3g}" if inter.p is not None else ""),
-        )
+        seed = _resolve_seed(args.seed)
+        table = stats.reconstruct_paper_cells(n_per_cell=args.n_per_cell, seed=seed).table
+        factor_names = ("expertise", "session")
+    else:
+        if not args.cell:
+            raise UsageError("provide --reconstruct-paper or at least four --cell entries")
+        factor_names = tuple(args.factor_names.split(","))
+        if len(factor_names) != 2 or not all(factor_names):
+            raise UsageError(f"--factor-names must be NAME_A,NAME_B, got {args.factor_names!r}")
+        observations = []
+        for entry in args.cell:
+            try:
+                levels, path = entry.split("=", 1)
+                level_a, level_b = levels.split(":", 1)
+            except ValueError:
+                raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
+            recording = ingest.load_session(path)
+            observations.extend((level_a, level_b, amp)
+                                for _, amp in profiling.sensor_series(recording, args.sensor))
+        table = stats.two_way_anova(observations, factor_names=factor_names)
+    name_a, name_b = factor_names
+    print(f"{'cell':<32}{'mean':>10}{'sem':>10}{'n':>8}")
+    for (la, lb), summary in table.cells.items():
+        label = f"{name_a}={la} {name_b}={lb}"
+        print(f"{label:<32}{summary.mean:>10.2f}{summary.sem:>10.3f}{summary.n:>8}")
+    print()
+    print(table.to_text())
+    if args.reconstruct_paper:
+        inter = table.interaction
+        print(f"\ninteraction: F({inter.df}, {table.error.df}) = "
+              + (f"{inter.f:.2f}" if inter.f is not None else "n/a")
+              + (f", p = {inter.p:.3g}" if inter.p is not None else ""))
+        # with a pooled SEM s the closed form is F_1 / s^2, F_1 being its value at unit SEMs
+        unit = {cell: (mean, 1.0) for cell, (mean, _) in stats.REFERENCE_CELLS.items()}
+        pooled_sem = math.sqrt(stats.closed_form_interaction_f(unit) / 188.53)
         print(
             "note: the headline interaction F of 188.53 reported for this comparison\n"
             "cannot be rebuilt from cell means and SEMs alone; the closed-form\n"
             "expectation for this reconstruction is F = "
-            f"{stats.closed_form_interaction_f(stats.REFERENCE_CELLS):.2f}. Degrees of freedom,\n"
+            f"{stats.closed_form_interaction_f(stats.REFERENCE_CELLS):.2f}. Reaching 188.53\n"
+            f"would need a pooled SEM of {pooled_sem:.2f} mV. Degrees of freedom,\n"
             "significance, and the cell summaries are reproduced.",
-            file=sys.stderr,
-        )
-        if args.out:
-            _write_table_csv(result.table, args.out)
-        return 0
-
-    if not args.cell:
-        raise UsageError("provide --reconstruct-paper or at least four --cell entries")
-    parts = args.factor_names.split(",")
-    if len(parts) != 2 or not all(parts):
-        raise UsageError(f"--factor-names must be NAME_A,NAME_B, got {args.factor_names!r}")
-    name_a, name_b = parts
-    pooled: dict[tuple[str, str], list[int]] = {}
-    for entry in args.cell:
-        try:
-            levels, path = entry.split("=", 1)
-            level_a, level_b = levels.split(":", 1)
-        except ValueError:
-            raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
-        recording = ingest.load_session(path)
-        pooled.setdefault((level_a, level_b), []).extend(
-            amp for _, amp in profiling.sensor_series(recording, args.sensor)
-        )
-    cells = {cell: stats.mean_sem(values) for cell, values in pooled.items()}
-    observations = [(la, lb, v) for (la, lb), values in pooled.items() for v in values]
-    table = stats.two_way_anova(observations, factor_names=(name_a, name_b))
-    _print_cells(cells, (name_a, name_b))
-    print()
-    print(table.to_text())
+            file=sys.stderr)
     if args.out:
-        _write_table_csv(table, args.out)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(table.csv_rows())
+        write_file(args.out, text.getvalue())
     return 0
 
 

@@ -52,6 +52,7 @@ from .recording import (
     MisplacedFrame,
     SessionRecording,
     placed,
+    write_file,
 )
 
 BINARY_MAGIC = b"GFS1"
@@ -271,17 +272,7 @@ def save_session(recording: SessionRecording, path, format: str | None = None) -
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "binary")
     if fmt not in ("binary", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    try:
-        if fmt == "binary":
-            blob = _to_binary(recording)
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        else:
-            text = _csv_text(recording)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, _to_binary(recording) if fmt == "binary" else _csv_text(recording))
 
 
 def load_session(path) -> SessionRecording:

@@ -17,7 +17,7 @@ from itertools import islice
 from operator import gt, itemgetter
 
 from .protocol import NOMINAL_INTERVAL_MS, SENSOR_COUNT, SensorId
-from .recording import IoFailure, SessionRecording
+from .recording import SessionRecording, write_file
 
 PROFILE_CSV_HEADER = "window_index,start_ms,value_mv,sample_count"
 DEFAULT_WINDOW_MS = 2000
@@ -145,9 +145,4 @@ def profile_csv(profile: GripForceProfile) -> str:
 
 def profile_export(profile: GripForceProfile, path) -> None:
     """Write :func:`profile_csv` output to a file."""
-    text = profile_csv(profile)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, profile_csv(profile))

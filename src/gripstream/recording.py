@@ -29,6 +29,16 @@ class IoFailure(OSError):
     """Reading or writing a session/profile file failed at the OS level."""
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` to ``path``, a str as UTF-8 with no newline translation; IoFailure
+    if the OS refuses."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def first_misplaced(frames: Frames, hand: Hand) -> int:
     """Index of the first frame not of ``hand`` or not after its predecessor's seq, else len."""
     seq = frames.seq

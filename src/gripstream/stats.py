@@ -13,7 +13,10 @@ Each effect is tested by F = MS_effect / MS_error with the upper tail of
 the F distribution, evaluated through the regularized incomplete beta
 function. Only balanced designs are accepted; anything else is a hard
 error rather than a silent approximation. Sums run through ``math.fsum``
-over C iterators, bit-identical to the per-sample form written above.
+over C iterators, bit-identical to the per-sample form written above; a
+sum past the float range is a ValueError naming what was summed. One pass
+over each cell gives the ANOVA its cell mean and within-cell SS and the
+table its ``CellSummary`` (``AnovaTable.cells``), as ``mean_sem`` does for one sample.
 """
 
 from __future__ import annotations
@@ -62,22 +65,52 @@ def _finite_sum(values, where: str) -> float:
     return total
 
 
-def _ss_about(values, centre: float, where: str) -> float:
-    """sum((v - centre) ** 2 for v in values), summed exactly; past the float range, ValueError."""
-    return _finite_sum(map(pow, map(sub, values, repeat(centre)), repeat(2)),
-                       f"squared deviations of {where}")
+def _moments(values: list[float], where: str) -> tuple[float, float, CellSummary]:
+    """The sum of a non-empty list of floats, its squared deviations about the mean, and
+    its summary; ValueError naming ``where`` for a value or sum that is not finite."""
+    n = len(values)
+    total = _finite_sum(values, where)
+    mean = total / n
+    if n == 1:
+        return total, 0.0, CellSummary(mean, 0.0, 1, degenerate=True)
+    ss = _finite_sum(map(pow, map(sub, values, repeat(mean)), repeat(2)),
+                     f"squared deviations of {where}")
+    return total, ss, CellSummary(mean, math.sqrt(ss / (n - 1) / n), n)
 
 
 def mean_sem(values) -> CellSummary:
     """Arithmetic mean and SEM (unbiased sd / sqrt(n)) of a sample of finite values."""
     values = list(map(float, values))
-    n = len(values)
-    if n == 0:
+    if not values:
         raise ValueError("cannot summarize zero values")
-    mean = _finite_sum(values, "sample") / n
-    if n == 1:
-        return CellSummary(mean, 0.0, 1, degenerate=True)
-    return CellSummary(mean, math.sqrt(_ss_about(values, mean, "sample") / (n - 1) / n), n)
+    return _moments(values, "sample")[2]
+
+
+def _levels(cells) -> tuple[list, list]:
+    """Each factor's levels in first-seen order, for a table keyed by (level_a, level_b);
+    ValueError unless both factors have >= 2 levels and every combination is present."""
+    levels_a = list(dict.fromkeys(la for la, _ in cells))
+    levels_b = list(dict.fromkeys(lb for _, lb in cells))
+    if len(levels_a) < 2 or len(levels_b) < 2:
+        raise ValueError(f"need >= 2 levels per factor, got {len(levels_a)} x {len(levels_b)}")
+    for la in levels_a:
+        for lb in levels_b:
+            if (la, lb) not in cells:
+                raise ValueError(f"no observations for cell ({la!r}, {lb!r})")
+    return levels_a, levels_b
+
+
+def _deviations(means: dict, levels_a: list, levels_b: list, grand: float):
+    """sum_i (r_i - g)^2, sum_j (c_j - g)^2 and sum_ij (m_ij - r_i - c_j + g)^2: the squared
+    row, column and interaction deviations of a full table of cell ``means`` about ``grand``."""
+    row = {la: _finite_sum((means[la, lb] for lb in levels_b), "row effect") / len(levels_b)
+           for la in levels_a}
+    col = {lb: _finite_sum((means[la, lb] for la in levels_a), "column effect") / len(levels_a)
+           for lb in levels_b}
+    return (_finite_sum(((row[la] - grand) ** 2 for la in levels_a), "row effect"),
+            _finite_sum(((col[lb] - grand) ** 2 for lb in levels_b), "column effect"),
+            _finite_sum(((means[la, lb] - row[la] - col[lb] + grand) ** 2
+                         for la in levels_a for lb in levels_b), "interaction"))
 
 
 @dataclass(frozen=True)
@@ -98,13 +131,14 @@ class AnovaTable:
     effect_b: EffectRow
     interaction: EffectRow
     error: EffectRow
+    cells: dict[tuple, CellSummary]  # per (level_a, level_b), in first-seen order
 
     def rows(self) -> tuple[EffectRow, ...]:
         return (self.effect_a, self.effect_b, self.interaction, self.error)
 
     @property
     def ss_total(self) -> float:
-        return math.fsum(row.ss for row in self.rows())
+        return _finite_sum((row.ss for row in self.rows()), "total sum of squares")
 
     def to_text(self) -> str:
         def fmt(x, width, digits=4):
@@ -157,18 +191,7 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
             cells[level_a, level_b] = [value]
     for vals in cells.values():  # in place: one cell's second list at a time
         vals[:] = map(float, vals)
-    # a level's first cell key comes from its first observation
-    levels_a = list(dict.fromkeys(la for la, _ in cells))
-    levels_b = list(dict.fromkeys(lb for _, lb in cells))
-
-    if len(levels_a) < 2 or len(levels_b) < 2:
-        raise ValueError(
-            f"need >= 2 levels per factor, got {len(levels_a)} x {len(levels_b)}"
-        )
-    for la in levels_a:
-        for lb in levels_b:
-            if (la, lb) not in cells:
-                raise ValueError(f"no observations for cell ({la!r}, {lb!r})")
+    levels_a, levels_b = _levels(cells)
     counts = {cell: len(vals) for cell, vals in cells.items()}
     if len(set(counts.values())) != 1:
         raise UnbalancedDesign(counts)
@@ -178,21 +201,16 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
 
     a, b = len(levels_a), len(levels_b)
     total = a * b * n
-    cell_sum = {cell: _finite_sum(vals, f"cell {cell!r}") for cell, vals in cells.items()}
-    grand = math.fsum(cell_sum.values()) / total
-    cell_mean = {cell: s / n for cell, s in cell_sum.items()}
-    row_mean = {la: math.fsum(cell_mean[(la, lb)] for lb in levels_b) / b for la in levels_a}
-    col_mean = {lb: math.fsum(cell_mean[(la, lb)] for la in levels_a) / a for lb in levels_b}
-
-    ss_a = n * b * math.fsum((row_mean[la] - grand) ** 2 for la in levels_a)
-    ss_b = n * a * math.fsum((col_mean[lb] - grand) ** 2 for lb in levels_b)
-    ss_ab = n * math.fsum(
-        (cell_mean[(la, lb)] - row_mean[la] - col_mean[lb] + grand) ** 2
-        for la in levels_a
-        for lb in levels_b
-    )
-    ss_err = math.fsum(_ss_about(vals, cell_mean[cell], f"cell {cell!r}")
-                       for cell, vals in cells.items())
+    moments = {cell: _moments(vals, f"cell {cell!r}") for cell, vals in cells.items()}
+    grand = _finite_sum((s for s, _, _ in moments.values()), "grand total") / total
+    summaries = {cell: summary for cell, (_, _, summary) in moments.items()}
+    dev_a, dev_b, dev_ab = _deviations({cell: summary.mean for cell, summary in summaries.items()},
+                                       levels_a, levels_b, grand)
+    # a scaled sum can pass the float range where the unscaled one did not
+    ss_a = _finite_sum((n * b * dev_a,), "row effect")
+    ss_b = _finite_sum((n * a * dev_b,), "column effect")
+    ss_ab = _finite_sum((n * dev_ab,), "interaction")
+    ss_err = _finite_sum((ss for _, ss, _ in moments.values()), "error sum of squares")
 
     df_a, df_b = a - 1, b - 1
     df_ab, df_err = df_a * df_b, total - a * b
@@ -211,6 +229,7 @@ def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> A
         effect_b=tested(name_b, ss_b, df_b),
         interaction=tested(f"{name_a} x {name_b}", ss_ab, df_ab),
         error=EffectRow("error", ss_err, df_err, ms_err),
+        cells=summaries,
     )
 
 
@@ -314,13 +333,13 @@ def closed_form_interaction_f(cells) -> float:
     residuals r_ij = m_ij - r_i - c_j + g, and MS_error = n * mean(SEM^2),
     so n cancels: F = sum(r_ij^2) / df_AB / mean(SEM^2).
     """
+    levels_a, levels_b = _levels(cells)
     means = {cell: mean for cell, (mean, _) in cells.items()}
-    levels_a, levels_b = dict.fromkeys(la for la, _ in means), dict.fromkeys(lb for _, lb in means)
-    row = {la: math.fsum(means[la, lb] for lb in levels_b) / len(levels_b) for la in levels_a}
-    col = {lb: math.fsum(means[la, lb] for la in levels_a) / len(levels_a) for lb in levels_b}
-    grand = math.fsum(means.values()) / len(means)
-    ss = math.fsum((m - row[la] - col[lb] + grand) ** 2 for (la, lb), m in means.items())
-    mean_sem_sq = math.fsum(sem**2 for _, sem in cells.values()) / len(cells)
+    grand = _finite_sum(means.values(), "grand mean") / len(means)
+    mean_sem_sq = _finite_sum((sem**2 for _, sem in cells.values()), "squared SEMs") / len(cells)
+    if not mean_sem_sq > 0.0:
+        raise ValueError(f"mean SEM^2 must be positive, got {mean_sem_sq}")
+    ss = _deviations(means, levels_a, levels_b, grand)[2]
     return ss / ((len(levels_a) - 1) * (len(levels_b) - 1)) / mean_sem_sq
 
 
@@ -349,11 +368,8 @@ def reconstruct_paper_cells(n_per_cell: int = DEFAULT_CELL_N, seed: int = 0) -> 
         raise ValueError(f"need n_per_cell >= 2, got {n_per_cell}")
     rng = random.Random(seed)
     observations = []
-    cells: dict[tuple[str, str], CellSummary] = {}
     for (expertise, session), (mean_mv, sem_mv) in REFERENCE_CELLS.items():
         mean, sd = calibrate_to_cell(mean_mv, sem_mv, n_per_cell)
-        values = [rng.gauss(mean, sd) for _ in range(n_per_cell)]
-        cells[(expertise, session)] = mean_sem(values)
-        observations.extend((expertise, session, v) for v in values)
+        observations.extend((expertise, session, rng.gauss(mean, sd)) for _ in range(n_per_cell))
     table = two_way_anova(observations, factor_names=("expertise", "session"))
-    return Reconstruction(table, cells, n_per_cell, seed)
+    return Reconstruction(table, table.cells, n_per_cell, seed)

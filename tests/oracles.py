@@ -280,6 +280,7 @@ def two_way_anova_reference(observations, factor_names=("A", "B")):
         effect_b=tested(name_b, ss_b, df_b),
         interaction=tested(f"{name_a} x {name_b}", ss_ab, df_ab),
         error=EffectRow("error", ss_err, df_err, ms_err),
+        cells={cell: mean_sem_reference(vals) for cell, vals in cells.items()},
     )
 
 

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import gripstream
+from gripstream import stats
 from gripstream.cli import main
 from gripstream.ingest import load_session, save_session
+from gripstream.profiling import profile_export, window_profile
 from gripstream.protocol import GloveFrame, Hand
-from gripstream.recording import Expertise, SessionRecording
+from gripstream.recording import Expertise, IoFailure, SessionRecording
 
 
 def test_every_gripstream_error_is_a_value_or_os_error():
@@ -262,6 +264,7 @@ def test_compare_reconstruct(tmp_path, capsys):
     assert "p = " in captured.out
     assert "188.53" in captured.err  # discrepancy note
     assert "F = 101.41" in captured.err  # computed by stats.closed_form_interaction_f
+    assert "pooled SEM of 1.27 mV" in captured.err  # what F = 188.53 would need
     rows = out.read_text(encoding="utf-8").splitlines()
     assert rows[0] == "effect,ss,df,ms,f,p"
     assert len(rows) == 5
@@ -338,6 +341,38 @@ def test_compare_unbalanced_design_surfaced(tmp_path, capsys):
 
 def test_compare_without_inputs(capsys):
     assert main(["compare"]) == 1
+
+
+def test_compare_summarizes_each_cell_in_the_anova_pass_only(tmp_path, monkeypatch, capsys):
+    def refuse(values):
+        raise AssertionError("compare summarized a cell outside the ANOVA")
+
+    monkeypatch.setattr(stats, "mean_sem", refuse)
+    args = ["compare"]
+    for cell, value in (("a:x", 1), ("a:y", 2), ("b:x", 3), ("b:y", 5)):
+        path = tmp_path / f"{value}.bin"
+        save_session(constant_recording(value=value), path)
+        args += ["--cell", f"{cell}={path}"]
+    assert main(args) == 0
+    assert main(["compare", "--reconstruct-paper", "--n-per-cell", "10"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["A=b", "B=y", "5.00", "0.000", "8"] in rows
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: save_session(constant_recording(), path, format="binary"),
+    lambda path: save_session(constant_recording(), path, format="csv"),
+    lambda path: profile_export(window_profile([(0, 1.0), (20, 2.0)], 20), path),
+    lambda path: main(["compare", "--reconstruct-paper", "--n-per-cell", "2", "--out", str(path)]),
+], ids=["binary", "csv", "profile", "compare"])
+def test_every_writer_reports_a_missing_directory_alike(tmp_path, capsys, write):
+    path = tmp_path / "missing" / "out"
+    try:
+        assert write(path) == 2  # compare: a data error
+        message = capsys.readouterr().err.splitlines()[-1].removeprefix("gripstream: ")
+    except IoFailure as exc:
+        message = str(exc)
+    assert message.startswith(f"cannot write {path}: [Errno 2] No such file or directory")
 
 
 def test_export_round_trip(tmp_path):

@@ -270,6 +270,49 @@ def test_squared_deviations_past_the_float_range_name_the_sample_or_cell():
         two_way_anova(observations)
 
 
+EFFECT_SIGNS = {"row effect": lambda a, b: a, "column effect": lambda a, b: b,
+                "interaction": lambda a, b: a * b}
+
+
+@pytest.mark.parametrize("effect, value, n, message", [
+    ("row effect", 1e200, 2, r": \(34, "),  # the square of a deviation overflows
+    ("row effect", 1e154, 2, ": intermediate overflow in fsum$"),  # the sum of squares does
+    ("row effect", 9e153, 3, " holds inf$"),  # the sum does not, scaled by n * b it does
+    ("column effect", 9e153, 3, " holds inf$"),
+    ("interaction", 1e200, 2, r": \(34, "),
+], ids=["row-square", "row-sum", "row-scaled", "column-scaled", "interaction-square"])
+def test_effect_sums_of_squares_past_the_float_range_name_the_effect(effect, value, n, message):
+    observations = [(a, b, EFFECT_SIGNS[effect](a, b) * value)
+                    for a in (1, -1) for b in (1, -1) for _ in range(n)]
+    with pytest.raises(ValueError, match="^" + effect + message):
+        two_way_anova(observations)
+
+
+def test_a_total_sum_of_squares_past_the_float_range_is_refused():
+    observations = [(a, b, (a + b) * 4e153) for a in (1, -1) for b in (1, -1) for _ in range(2)]
+    table = two_way_anova(observations)  # row and column SS of 1.28e308 each
+    with pytest.raises(ValueError, match="^total sum of squares: intermediate overflow in fsum$"):
+        table.to_text()
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({}, "need >= 2 levels per factor, got 0 x 0"),
+    ({("a", "x"): (1.0, 1.0), ("a", "y"): (2.0, 1.0)}, "need >= 2 levels per factor, got 1 x 2"),
+    ({("a", "x"): (1.0, 1.0), ("a", "y"): (2.0, 1.0), ("b", "x"): (3.0, 1.0)},
+     "no observations for cell ('b', 'y')"),
+    ({cell: (mean, 0.0) for cell, (mean, _) in REFERENCE_CELLS.items()},
+     "mean SEM^2 must be positive, got 0.0"),
+    ({cell: (mean, 1e-200) for cell, (mean, _) in REFERENCE_CELLS.items()},
+     "mean SEM^2 must be positive, got 0.0"),
+    ({**REFERENCE_CELLS, ("expert", "last"): (609.0, math.inf)}, "squared SEMs holds inf"),
+    ({**REFERENCE_CELLS, ("expert", "last"): (609.0, math.nan)}, "squared SEMs holds nan"),
+    ({**REFERENCE_CELLS, ("expert", "last"): (609.0, 1e200)}, "squared SEMs: (34, "),
+], ids=["empty", "one-level", "missing-cell", "zero-sems", "underflow", "inf", "nan", "overflow"])
+def test_closed_form_interaction_f_refuses_what_it_cannot_compute(cells, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        closed_form_interaction_f(cells)
+
+
 def test_incomplete_beta_closed_forms():
     # I_x(1, 1) = x and I_x(2, 2) = 3x^2 - 2x^3
     for x in (0.1, 0.25, 0.5, 0.8, 0.99):
