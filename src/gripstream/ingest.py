@@ -103,11 +103,11 @@ class FrameStreamDecoder:
     until a valid frame realigns the stream. Bytes of an incomplete
     trailing window wait in :attr:`pending` for the next chunk.
 
-    While aligned, runs of frames are decoded in bulk (:func:`decode_frames`);
-    from the first frame that fails until a window decodes again, the
-    decoder scans window by window with :func:`decode_frame`. A run after a
-    resync starts short and doubles, so a stream dense with damage is not
-    decoded in bulk over and over.
+    Frames come only from bulk runs of :func:`decode_frames`; from the
+    first frame that fails until a window decodes again, the decoder only
+    probes windows at magic bytes with :func:`decode_frame`, and the one
+    that passes starts the next run. A run after a resync starts short and
+    doubles, so a stream dense with damage is not decoded in bulk over and over.
     """
 
     def __init__(self):
@@ -134,13 +134,11 @@ class FrameStreamDecoder:
                 self._aligned = False
             elif buf[pos] == FRAME_MAGIC:
                 try:
-                    frame = decode_frame(buf[pos:pos + FRAME_SIZE])
+                    decode_frame(buf[pos:pos + FRAME_SIZE])
                 except FrameError:
                     pass
-                else:
-                    parts.append(Frames.of((frame,)))
+                else:  # the bulk run decodes this frame as its first
                     self._aligned = True
-                    pos += FRAME_SIZE
                     continue
             pos = buf.find(FRAME_MAGIC, pos + 1)
             if pos < 0:
@@ -355,6 +353,8 @@ def _from_binary(blob: bytes) -> SessionRecording:
 
 def _csv_text(recording: SessionRecording) -> str:
     """The CSV file of ``recording``: the header, then one row per frame."""
+    if not recording.frames:
+        raise ValueError("an empty recording has no CSV form: its metadata lives in the rows")
     meta = io.StringIO()
     # with CR in the terminator, the writer quotes a CR in user_id as it does a LF
     csv.writer(meta, lineterminator="\r\n").writerow(

@@ -14,6 +14,7 @@ import re
 import socket
 import time
 from array import array
+from bisect import bisect_right
 from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -105,8 +106,9 @@ class SessionSpec:
 
     def __post_init__(self):
         check_session(self.session_index)
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be positive and finite")
+        if not (self.duration_s * FRAMES_PER_SECOND < math.inf
+                and frame_count_for(self.duration_s) >= 1):
+            raise ValueError("duration_s must be positive, finite and hold one 20 ms frame")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
             raise ValueError("seed out of u64 range")
 
@@ -184,17 +186,15 @@ def stream_session(
 ) -> TransmissionReport:
     """Send a recording's frames over a stream socket at 20 ms / speed pacing.
 
-    Frame i is due i * 20 ms / speed after the start, and each tick sends
-    every frame that is due in one call, so drift does not accumulate.
-    ``speed=float('inf')`` streams as fast as possible, one frame per call:
-    a whole recording sent at once fits in the kernel's socket buffers, so
-    a peer that resets the connection mid-stream would go unnoticed.
-    ``frames_sent`` counts the whole frames the kernel accepted.
+    Frame i is due i * 20 ms / speed after the start, and each ``send``
+    offers the kernel every frame that is due, so drift does not
+    accumulate; at ``speed=float('inf')`` the whole recording is due at
+    once. ``frames_sent`` counts the whole frames the kernel accepted.
     """
     check_endpoint(*endpoint)
-    check_speed(speed)
-    interval_s = 0.0 if math.isinf(speed) else NOMINAL_INTERVAL_MS / 1000.0 / speed
+    interval_s = NOMINAL_INTERVAL_MS / 1000.0 / check_speed(speed)
     wire = memoryview(encode_frames(recording.frames))
+    indices = range(len(recording.frames))
     try:
         sock = socket.create_connection(endpoint, timeout=10.0)
     except OSError as exc:
@@ -204,16 +204,12 @@ def stream_session(
     try:
         with sock:
             while sent < len(wire):
-                next_frame = sent // FRAME_SIZE
-                due = next_frame + 1  # frames due by now: at least the next one
-                if interval_s:
-                    delay = start + next_frame * interval_s - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                    due = max(due, int((time.monotonic() - start) / interval_s) + 1)
-                end = min(len(wire), due * FRAME_SIZE)
-                while sent < end:
-                    sent += sock.send(wire[sent:end])
+                delay = start + sent // FRAME_SIZE * interval_s - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                # the frames due by now: all of them when interval_s is 0
+                due = bisect_right(indices, time.monotonic() - start, key=lambda i: i * interval_s)
+                sent += sock.send(wire[sent:due * FRAME_SIZE])
     except OSError as exc:
         frames = sent // FRAME_SIZE
         raise ConnectionLost(f"connection lost after {frames} frames: {exc}", frames) from exc

@@ -189,9 +189,13 @@ def test_simulate_bad_value_names_its_key_and_file(tmp_path, capsys, novice_conf
 
 
 def test_simulate_rejects_nonpositive_duration(tmp_path, capsys):
-    assert main(["simulate", "--user", "novice", "--duration", "0",
-                 "--out", str(tmp_path / "x.bin")]) == 2
-    assert "duration = 0.0: duration_s must be positive" in capsys.readouterr().err
+    # 0.01 s holds no whole 20 ms frame, and an empty session has no CSV form
+    for duration, out in (("0", tmp_path / "x.bin"), ("0.01", tmp_path / "e.csv")):
+        assert main(["simulate", "--user", "novice", "--duration", duration,
+                     "--out", str(out)]) == 2
+        assert (f"duration = {float(duration)}: duration_s must be positive"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_analyze_profile_csv(tmp_path, capsys):

@@ -138,6 +138,24 @@ def test_decoder_deleted_byte_loses_only_its_frame():
     assert decoder.errors == 1
 
 
+def test_decoder_makes_frames_only_in_bulk(monkeypatch):
+    recording = make_recording(30)
+    payload = wire_bytes(recording)
+    payload[10 * FRAME_SIZE + 20] ^= 4  # one flipped bit in frame 10
+    payload = bytes(payload)
+    intact = [f for f in recording.frames if f.seq != 10]
+
+    def no_frames_of(frames):
+        raise AssertionError("the decoder made frames outside decode_frames")
+
+    monkeypatch.setattr(protocol.Frames, "of", no_frames_of)
+    whole, chunked = FrameStreamDecoder(), FrameStreamDecoder()
+    assert whole.feed(payload) == intact
+    chunks = [payload[i:i + FRAME_SIZE] for i in range(0, len(payload), FRAME_SIZE)]
+    assert Frames.concat(map(chunked.feed, chunks)) == intact
+    assert whole.errors == chunked.errors == 1
+
+
 def test_decoder_skips_frame_with_unknown_hand_byte():
     bad, good = (encode_frame(f) for f in make_recording(2).frames)
     decoder = FrameStreamDecoder()
@@ -472,6 +490,14 @@ def test_round_trip_empty_recording_binary(tmp_path):
     path = tmp_path / "empty.bin"
     save_session(recording, path, format="binary")
     assert load_session(path) == recording
+
+
+def test_empty_recording_has_no_csv_form(tmp_path):
+    recording = SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, [])
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="^an empty recording has no CSV form"):
+        save_session(recording, path)
+    assert not path.exists()
 
 
 def test_csv_single_frame_layout(tmp_path):
@@ -914,9 +940,14 @@ def test_decoder_agrees_with_the_window_by_window_reference(case):
     payload, seed, largest = case
     rng = random.Random(seed)
     decoder, reference = FrameStreamDecoder(), FrameStreamDecoderReference()
-    pos = 0
+    parts, pos = [], 0
     while pos < len(payload):
         chunk = payload[pos:pos + rng.randrange(1, largest + 1)]
         pos += len(chunk)
-        assert decoder.feed(chunk) == reference.feed(chunk)
+        parts.append(decoder.feed(chunk))
+        assert parts[-1] == reference.feed(chunk)
         assert (decoder.errors, decoder.pending) == (reference.errors, reference.pending)
+    # decoding does not depend on the chunking: the whole payload at once gives the same
+    whole = FrameStreamDecoder()
+    assert whole.feed(payload) == Frames.concat(parts)
+    assert (whole.errors, whole.pending) == (decoder.errors, decoder.pending)

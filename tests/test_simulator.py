@@ -2,11 +2,20 @@ import math
 import re
 import socket
 import threading
+from array import array
 
 import pytest
 
-from gripstream.protocol import FRAME_SIZE, Hand, decode_frame, validate_cadence
-from gripstream.recording import Expertise
+from gripstream.protocol import (
+    FRAME_SIZE,
+    NOMINAL_INTERVAL_MS,
+    SENSOR_COUNT,
+    Frames,
+    Hand,
+    decode_frame,
+    validate_cadence,
+)
+from gripstream.recording import Expertise, SessionRecording
 from gripstream.simulator import (
     ConnectionRefused,
     SessionSpec,
@@ -85,6 +94,14 @@ def test_frame_count_matches_table_durations():
 def test_synthesized_counts():
     assert len(synthesize_session(spec_for(8.88))) == 444
     assert len(synthesize_session(spec_for(15.42))) == 771
+    assert len(synthesize_session(spec_for(0.02))) == 1
+
+
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, 0.019, math.nan, math.inf, 1e308])
+def test_spec_refuses_a_duration_without_a_whole_frame(duration_s):
+    # 1e308 s is finite, but its frame count is not
+    with pytest.raises(ValueError, match="^duration_s must be positive, finite and hold one"):
+        spec_for(duration_s)
 
 
 def test_zero_noise_means_exact_amplitudes():
@@ -284,6 +301,27 @@ def test_stream_delivers_recording_verbatim():
     assert frames == recording.frames
 
 
+def test_stream_at_max_speed_sends_every_due_frame_per_call(monkeypatch):
+    recording = synthesize_session(spec_for(60.0, profile=flat_profile()))  # 3,000 frames
+    calls = []
+    send = socket.socket.send
+
+    def counted_send(self, *args):
+        calls.append(1)
+        return send(self, *args)
+
+    monkeypatch.setattr(socket.socket, "send", counted_send)
+    server = socket.create_server(("127.0.0.1", 0))
+    sink = bytearray()
+    thread = threading.Thread(target=_drain_socket, args=(server, sink), daemon=True)
+    thread.start()
+    with server:
+        report = stream_session(recording, server.getsockname()[:2], speed=math.inf)
+        thread.join(timeout=5)
+    assert report.frames_sent == len(sink) // FRAME_SIZE == 3000
+    assert len(calls) < report.frames_sent
+
+
 def test_stream_pacing_roughly_matches_speed():
     recording = synthesize_session(spec_for(0.52, seed=5))  # 26 frames
     server = socket.create_server(("127.0.0.1", 0))
@@ -339,12 +377,25 @@ def test_one_speed_rule(speed):
     assert check_speed(math.inf) == math.inf
 
 
-def test_stream_connection_lost_reports_sent_count():
+def columns_recording(count):
+    """A flat right-hand recording of ``count`` frames, built as columns."""
+    frames = Frames(bytes((Hand.RIGHT,)) * count, array("I", range(count)),
+                    array("Q", range(0, count * NOMINAL_INTERVAL_MS, NOMINAL_INTERVAL_MS)),
+                    array("H", [100]) * (SENSOR_COUNT * count))
+    return SessionRecording("u", Expertise.NOVICE, 1, Hand.RIGHT, frames)
+
+
+@pytest.mark.parametrize("speed, make_recording", [
+    (10.0, lambda: synthesize_session(spec_for(60.0, profile=flat_profile()))),
+    # 250,000 frames (10.25 MB): more than a loopback connection takes before the reset arrives
+    (math.inf, lambda: columns_recording(250_000)),
+], ids=["paced", "max"])
+def test_stream_connection_lost_reports_sent_count(speed, make_recording):
     import struct
 
     from gripstream.simulator import ConnectionLost
 
-    recording = synthesize_session(spec_for(60.0, profile=flat_profile()))
+    recording = make_recording()
     server = socket.create_server(("127.0.0.1", 0))
 
     def reset_after_first_bytes():
@@ -356,7 +407,6 @@ def test_stream_connection_lost_reports_sent_count():
 
     thread = threading.Thread(target=reset_after_first_bytes, daemon=True)
     thread.start()
-    with pytest.raises(ConnectionLost) as exc:
-        stream_session(recording, server.getsockname()[:2], speed=math.inf)
-    server.close()
+    with server, pytest.raises(ConnectionLost) as exc:
+        stream_session(recording, server.getsockname()[:2], speed=speed)
     assert 0 < exc.value.frames_sent < len(recording.frames)
