@@ -213,7 +213,7 @@ def _cmd_compare(args) -> int:
                 raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
             recording = ingest.load_session(path)
             observations.extend((level_a, level_b, amp)
-                                for _, amp in profiling.sensor_series(recording, args.sensor))
+                                for amp in profiling.sensor_series(recording, args.sensor).values)
         table = stats.two_way_anova(observations, factor_names=factor_names)
     name_a, name_b = factor_names
     print(f"{'cell':<32}{'mean':>10}{'sem':>10}{'n':>8}")

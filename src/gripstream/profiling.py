@@ -7,11 +7,10 @@ with either the window mean or the window peak as the statistic.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from itertools import islice
 from operator import gt, itemgetter
@@ -54,21 +53,48 @@ class GripForceProfile:
         return [w.value_mv for w in self.windows]
 
 
-def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> list[tuple[int, int]]:
-    """(timestamp_ms, amplitude mV) for one sensor, one entry per frame."""
+class Series(Sequence):
+    """Read-only (timestamp_ms, value) pairs as two columns: item i is (times[i], values[i])."""
+
+    __slots__ = ("times", "values")
+
+    def __init__(self, times, values):
+        self.times = times
+        self.values = values
+
+    @classmethod
+    def of(cls, pairs) -> "Series":
+        """The columns of an iterable of (timestamp, value) pairs."""
+        pairs = list(pairs)
+        return cls(list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.times[index], self.values[index]))
+        return self.times[index], self.values[index]
+
+    def __iter__(self):
+        return zip(self.times, self.values)
+
+
+def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> Series:
+    """(timestamp_ms, amplitude mV) for one sensor: the recording's own ``timestamp_ms``
+    column, shared and not copied, beside the sensor's ``array('H')`` of amplitudes."""
     if not recording.frames:
         raise ValueError("recording has no frames")
     slot = (sensor if isinstance(sensor, SensorId) else SensorId.of(int(sensor))).index - 1
     frames = recording.frames
-    return list(zip(frames.timestamp_ms, frames.amplitudes[slot::SENSOR_COUNT]))
+    return Series(frames.timestamp_ms, frames.amplitudes[slot::SENSOR_COUNT])
 
 
 def check_window(window_ms: int) -> int:
-    """``window_ms`` if it is a positive multiple of the 20 ms cadence, else ValueError."""
-    if window_ms <= 0 or window_ms % NOMINAL_INTERVAL_MS != 0:
-        raise ValueError(
-            f"window_ms must be a positive multiple of {NOMINAL_INTERVAL_MS}, got {window_ms}"
-        )
+    """``window_ms`` if it is a positive int multiple of the 20 ms cadence, else ValueError."""
+    if not isinstance(window_ms, int) or window_ms <= 0 or window_ms % NOMINAL_INTERVAL_MS != 0:
+        raise ValueError(f"window_ms must be a positive multiple of {NOMINAL_INTERVAL_MS}, "
+                         f"got {window_ms}")
     return window_ms
 
 
@@ -81,24 +107,26 @@ def window_profile(
 ) -> GripForceProfile:
     """Summarize a (timestamp, amplitude) series over fixed successive windows.
 
-    Windows are anchored at the first timestamp and step by ``window_ms``;
-    a sample at time t belongs to window (t - t0) // window_ms. The window
-    value is the arithmetic mean or the maximum of its samples. Windows
-    short of the full window_ms / 20 samples are dropped under
-    DROP_INCOMPLETE and kept with their actual count under KEEP_PARTIAL.
+    ``series`` is a :class:`Series` or an iterable of pairs. Windows are
+    anchored at the first timestamp and step by ``window_ms``; a sample at
+    time t belongs to window (t - t0) // window_ms. The window value is the
+    arithmetic mean or the maximum of its samples. Windows short of the full
+    window_ms / 20 samples are dropped under DROP_INCOMPLETE and kept with
+    their actual count (an empty one with value NaN) under KEEP_PARTIAL.
     """
-    samples = list(series)
-    if not samples:
+    if not isinstance(series, Series):
+        series = Series.of(series)
+    if not series:
         raise ValueError("cannot profile an empty series")
     check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 
-    times = list(map(itemgetter(0), samples))
+    # one list of the times: the pairwise check and bisect then box no timestamp twice
+    times, values = list(series.times), series.values
     if any(map(gt, times, islice(times, 1, None))):
         last_t, t = next(pair for pair in zip(times, times[1:]) if pair[0] > pair[1])
         raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
-    values = list(map(itemgetter(1), samples))
     t0 = times[0]
     expected = window_ms // NOMINAL_INTERVAL_MS
     windows, hi = [], 0
@@ -124,23 +152,25 @@ def task_time(recording: SessionRecording) -> float:
     return (times[-1] - times[0] + NOMINAL_INTERVAL_MS) / 1000
 
 
-def _format_mv(value: float) -> str:
+# quantizing is exact, so no finite value needs more digits than MAX_PREC
+_EXACT_HALF_UP = Context(prec=MAX_PREC, rounding=ROUND_HALF_UP)
+_CENT = Decimal("0.01")
+
+
+def _format_mv(window: ProfileWindow) -> str:
     # 2 decimal places, round half up (not the float default half-even)
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    value = Decimal(repr(window.value_mv))
+    if value.is_infinite():
+        raise ValueError(f"window {window.index} value is not finite: {window.value_mv}")
+    return str(value.quantize(_CENT, context=_EXACT_HALF_UP))
 
 
 def profile_csv(profile: GripForceProfile) -> str:
     """Render a profile as plot-ready CSV text (windows x mV)."""
     if not profile.windows:
         raise ValueError("cannot export an empty profile")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PROFILE_CSV_HEADER.split(","))
-    for window in profile.windows:
-        writer.writerow(
-            [window.index, window.start_ms, _format_mv(window.value_mv), window.sample_count]
-        )
-    return out.getvalue()
+    row = "{0.index},{0.start_ms},{1},{0.sample_count}\n".format
+    return PROFILE_CSV_HEADER + "\n" + "".join(row(w, _format_mv(w)) for w in profile.windows)
 
 
 def profile_export(profile: GripForceProfile, path) -> None:

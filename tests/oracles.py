@@ -341,6 +341,25 @@ def window_profile_reference(series, window_ms=2000, statistic="mean",
     return GripForceProfile(sensor, window_ms, statistic, tuple(windows))
 
 
+def profile_csv_reference(profile) -> str:
+    """``profiling.profile_csv`` written by ``csv.writer``, quantizing in the default context."""
+    import csv
+    import io
+    from decimal import ROUND_HALF_UP, Decimal
+
+    from gripstream.profiling import PROFILE_CSV_HEADER
+
+    if not profile.windows:
+        raise ValueError("cannot export an empty profile")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PROFILE_CSV_HEADER.split(","))
+    for window in profile.windows:
+        value = Decimal(repr(window.value_mv)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+        writer.writerow([window.index, window.start_ms, str(value), window.sample_count])
+    return out.getvalue()
+
+
 # The file loaders and the stream decoder as they stood before the package
 # moved them onto columns: one decode_frame, one GloveFrame and one order
 # check per frame or row. The package must return equal recordings and

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from array import array
+from decimal import Decimal
 
 import pytest
 
@@ -67,6 +70,16 @@ def test_series_every_sensor_has_full_length():
         assert len(sensor_series(recording, sensor)) == 50
 
 
+def test_series_shares_the_recordings_columns():
+    recording = synth(1.0)
+    for sensor in range(1, 13):
+        series = sensor_series(recording, sensor)
+        assert series.times is recording.frames.timestamp_ms
+        assert isinstance(series.values, array) and series.values.typecode == "H"
+        assert series.values == recording.frames.amplitudes[sensor - 1::12]
+        assert list(series) == list(zip(series.times, series.values))
+
+
 def test_series_empty_recording():
     empty = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
     with pytest.raises(ValueError, match="^recording has no frames$"):
@@ -108,10 +121,11 @@ def test_windows_anchor_at_first_timestamp():
 def test_window_errors():
     with pytest.raises(ValueError, match="^cannot profile an empty series$"):
         window_profile([])
-    for bad in (1999, 0, -20, 30):
+    for bad in (1999, 0, -20, 30, 2000.0):
         with pytest.raises(ValueError,
                            match=f"^window_ms must be a positive multiple of 20, got {bad}$"):
-            window_profile(series_of([1] * 10), window_ms=bad)
+            window_profile(series_of([1] * 10), window_ms=bad,
+                           partial_policy=PartialPolicy.KEEP_PARTIAL)
     with pytest.raises(ValueError, match="non-decreasing"):
         window_profile([(40, 1), (20, 2)] + series_of([1] * 98, t0=60))
 
@@ -209,6 +223,24 @@ def test_export_rounds_half_up():
     assert profile_csv(profile).splitlines()[1] == "0,0,0.13,8"
     ramp = window_profile(series_of(list(range(100))))
     assert profile_csv(ramp).splitlines()[1] == "0,0,49.50,100"
+
+
+def test_export_writes_any_finite_value_in_full():
+    for value in (1e30, sys.float_info.max, -sys.float_info.max):
+        row = profile_csv(window_profile([(0, value)], 20)).splitlines()[1]
+        assert row == f"0,0,{Decimal(repr(value)):f}.00,1"
+
+
+def test_export_refuses_an_infinite_window():
+    for value in (math.inf, -math.inf):
+        profile = window_profile([(0, 1), (20, value)], 20)
+        with pytest.raises(ValueError, match=f"^window 1 value is not finite: {value}$"):
+            profile_csv(profile)
+
+
+def test_export_keeps_nan_for_empty_windows():
+    profile = window_profile([(0, 1), (40, 2)], 20, partial_policy=PartialPolicy.KEEP_PARTIAL)
+    assert profile_csv(profile).splitlines()[1:] == ["0,0,1.00,1", "1,20,NaN,0", "2,40,2.00,1"]
 
 
 def test_export_reparse_reproduces_values(tmp_path):

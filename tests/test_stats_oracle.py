@@ -1,14 +1,20 @@
 """The statistics layers against their per-sample loops in oracles: same repr, same errors."""
 
+from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gripstream.profiling import PartialPolicy, Statistic, window_profile
+from gripstream.profiling import PartialPolicy, Series, Statistic, profile_csv, window_profile
 from gripstream.stats import mean_sem, two_way_anova
-from oracles import mean_sem_reference, two_way_anova_reference, window_profile_reference
+from oracles import (
+    mean_sem_reference,
+    profile_csv_reference,
+    two_way_anova_reference,
+    window_profile_reference,
+)
 
 AMPLITUDES = st.integers(0, 65535)
 READINGS = st.floats(-1e6, 1e6, allow_nan=False)
@@ -64,8 +70,22 @@ def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
 @given(series(), st.sampled_from(list(Statistic)), st.sampled_from(list(PartialPolicy)))
 def test_window_profile_matches_the_per_sample_loop(drawn, statistic, policy):
     samples, window_ms = drawn
-    assert (outcome(window_profile, samples, window_ms, statistic, policy)
-            == outcome(window_profile_reference, samples, window_ms, statistic, policy))
+    expected = outcome(window_profile_reference, samples, window_ms, statistic, policy)
+    assert outcome(window_profile, samples, window_ms, statistic, policy) == expected
+    times, values = zip(*samples)
+    if all(isinstance(v, int) for v in values):  # the columns sensor_series hands over
+        columns = Series(array("Q", times), array("H", values))
+        assert outcome(window_profile, columns, window_ms, statistic, policy) == expected
+
+
+@settings(max_examples=200)
+@given(series(), st.sampled_from(list(Statistic)), st.sampled_from(list(PartialPolicy)))
+@example(([(0, 1), (60, 2.5), (100, 3)], 20), Statistic.MEAN, PartialPolicy.KEEP_PARTIAL)
+def test_profile_csv_matches_the_csv_writer(drawn, statistic, policy):
+    """Byte for byte, NaN for the empty windows KEEP_PARTIAL keeps included."""
+    samples, window_ms = drawn
+    profile = window_profile(samples, window_ms, statistic, policy)
+    assert outcome(profile_csv, profile) == outcome(profile_csv_reference, profile)
 
 
 def cells_of(counts):
@@ -96,7 +116,8 @@ def test_mean_sem_errors_and_single_value_match_the_reference():
     ([(0, 1), (20, 2), (20, 3), (40, 4), (0, 5)], 20),
     ([], 2000),
     ([(0, 1)], 30),
-], ids=["decreasing", "decreasing-after-equal", "empty", "bad-window"])
+    ([(float("nan"), 1), (20, 2), (10, 3)], 20),
+], ids=["decreasing", "decreasing-after-equal", "empty", "bad-window", "nan-then-decreasing"])
 def test_window_profile_errors_match_the_reference(samples, window_ms):
     got = outcome(window_profile, samples, window_ms)
     assert isinstance(got, tuple)
