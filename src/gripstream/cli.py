@@ -204,17 +204,16 @@ def _cmd_compare(args) -> int:
         factor_names = tuple(args.factor_names.split(","))
         if len(factor_names) != 2 or not all(factor_names):
             raise UsageError(f"--factor-names must be NAME_A,NAME_B, got {args.factor_names!r}")
-        observations = []
+        cells = {}
         for entry in args.cell:
             try:
                 levels, path = entry.split("=", 1)
                 level_a, level_b = levels.split(":", 1)
             except ValueError:
                 raise UsageError(f"--cell must be LEVELA:LEVELB=PATH, got {entry!r}") from None
-            recording = ingest.load_session(path)
-            observations.extend((level_a, level_b, amp)
-                                for amp in profiling.sensor_series(recording, args.sensor).values)
-        table = stats.two_way_anova(observations, factor_names=factor_names)
+            cells.setdefault((level_a, level_b), []).extend(  # a repeated cell pools
+                profiling.sensor_series(ingest.load_session(path), args.sensor).values)
+        table = stats.two_way_anova(cells, factor_names=factor_names)
     name_a, name_b = factor_names
     print(f"{'cell':<32}{'mean':>10}{'sem':>10}{'n':>8}")
     for (la, lb), summary in table.cells.items():

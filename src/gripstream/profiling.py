@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from itertools import islice
-from operator import gt, itemgetter
+from math import inf
+from operator import itemgetter, le
 
 from .protocol import NOMINAL_INTERVAL_MS, SENSOR_COUNT, SensorId
 from .recording import SessionRecording, write_file
@@ -62,12 +63,6 @@ class Series(Sequence):
         self.times = times
         self.values = values
 
-    @classmethod
-    def of(cls, pairs) -> "Series":
-        """The columns of an iterable of (timestamp, value) pairs."""
-        pairs = list(pairs)
-        return cls(list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -107,27 +102,34 @@ def window_profile(
 ) -> GripForceProfile:
     """Summarize a (timestamp, amplitude) series over fixed successive windows.
 
-    ``series`` is a :class:`Series` or an iterable of pairs. Windows are
-    anchored at the first timestamp and step by ``window_ms``; a sample at
-    time t belongs to window (t - t0) // window_ms. The window value is the
-    arithmetic mean or the maximum of its samples. Windows short of the full
-    window_ms / 20 samples are dropped under DROP_INCOMPLETE and kept with
-    their actual count (an empty one with value NaN) under KEEP_PARTIAL.
+    ``series`` is a :class:`Series` or an iterable of pairs whose timestamps are
+    finite and non-decreasing. Windows are anchored at the first timestamp and step
+    by ``window_ms``; a sample at time t belongs to window (t - t0) // window_ms.
+    The window value is the arithmetic mean or the maximum of its samples (a mean
+    past the float range is a ValueError). Windows short of the full window_ms / 20
+    samples are dropped under DROP_INCOMPLETE and kept with their actual count (an
+    empty one with value NaN) under KEEP_PARTIAL.
     """
-    if not isinstance(series, Series):
-        series = Series.of(series)
-    if not series:
+    # one list of the times: the pairwise check and bisect then box no timestamp twice
+    if isinstance(series, Series):
+        times, values = list(series.times), series.values
+    else:
+        pairs = list(series)
+        times, values = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+    if not times:
         raise ValueError("cannot profile an empty series")
     check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 
-    # one list of the times: the pairwise check and bisect then box no timestamp twice
-    times, values = list(series.times), series.values
-    if any(map(gt, times, islice(times, 1, None))):
-        last_t, t = next(pair for pair in zip(times, times[1:]) if pair[0] > pair[1])
-        raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
     t0 = times[0]
+    # a NaN fails every comparison, and once the times are in order only the ends can be infinite
+    if not (all(map(le, times, islice(times, 1, None))) and -inf < t0 and times[-1] < inf):
+        for last_t, t in zip(times, times[1:]):
+            if last_t > t:
+                raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
+        raise ValueError("timestamps must be finite, got "
+                         f"{next(t for t in times if not -inf < t < inf)}")
     expected = window_ms // NOMINAL_INTERVAL_MS
     windows, hi = [], 0
     for index in range((times[-1] - t0) // window_ms + 1):
@@ -137,7 +139,10 @@ def window_profile(
             continue
         if count:
             window = values[lo:hi]
-            value = max(window) if statistic is Statistic.PEAK else sum(window) / count
+            try:
+                value = max(window) if statistic is Statistic.PEAK else sum(window) / count
+            except OverflowError:  # an int mean past the float range
+                raise ValueError(f"window {index} mean is out of float range") from None
         else:
             value = float("nan")
         windows.append(ProfileWindow(index, t0 + index * window_ms, value, count))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
@@ -174,21 +175,25 @@ class AnovaTable:
 def two_way_anova(observations, factor_names: tuple[str, str] = ("A", "B")) -> AnovaTable:
     """Balanced two-way fixed-effects ANOVA with interaction.
 
-    ``observations`` is an iterable of (level_a, level_b, value). Every
-    combination of the observed levels must be present with the same
-    number (>= 2) of finite observations; violations raise ValueError, or
+    ``observations`` is an iterable of (level_a, level_b, value), or a mapping
+    from (level_a, level_b) to an iterable of that cell's values, which it
+    copies. Every combination of the observed levels must be present with the
+    same number (>= 2) of finite observations; violations raise ValueError, or
     UnbalancedDesign (which carries the per-cell ``counts``) for unequal counts.
 
     When the error mean square is zero no F ratio exists: F is reported
     as None ("not applicable"), with p = 1 when the effect sum of squares
     is zero as well (no variance anywhere, nothing to reject).
     """
-    cells: dict[tuple, list] = {}
-    for level_a, level_b, value in observations:
-        try:
-            cells[level_a, level_b].append(value)
-        except KeyError:
-            cells[level_a, level_b] = [value]
+    if isinstance(observations, Mapping):
+        cells = {cell: list(values) for cell, values in observations.items()}
+    else:
+        cells = {}
+        for level_a, level_b, value in observations:
+            try:
+                cells[level_a, level_b].append(value)
+            except KeyError:
+                cells[level_a, level_b] = [value]
     for vals in cells.values():  # in place: one cell's second list at a time
         vals[:] = map(float, vals)
     levels_a, levels_b = _levels(cells)
@@ -245,27 +250,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 500):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # even step, then odd
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ValueError(f"betacf(a={a}, b={b}, x={x}) did not converge")
@@ -367,9 +362,9 @@ def reconstruct_paper_cells(n_per_cell: int = DEFAULT_CELL_N, seed: int = 0) -> 
     if n_per_cell < 2:
         raise ValueError(f"need n_per_cell >= 2, got {n_per_cell}")
     rng = random.Random(seed)
-    observations = []
-    for (expertise, session), (mean_mv, sem_mv) in REFERENCE_CELLS.items():
+    cells = {}
+    for cell, (mean_mv, sem_mv) in REFERENCE_CELLS.items():
         mean, sd = calibrate_to_cell(mean_mv, sem_mv, n_per_cell)
-        observations.extend((expertise, session, rng.gauss(mean, sd)) for _ in range(n_per_cell))
-    table = two_way_anova(observations, factor_names=("expertise", "session"))
+        cells[cell] = [rng.gauss(mean, sd) for _ in range(n_per_cell)]
+    table = two_way_anova(cells, factor_names=("expertise", "session"))
     return Reconstruction(table, table.cells, n_per_cell, seed)

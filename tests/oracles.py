@@ -5,7 +5,8 @@ bitwise (the package's is ``binascii.crc_hqx``), the ANOVA is the
 per-observation definitional computation (the package uses balanced
 marginal-mean formulas), p-values come from scipy, the F upper tail is
 evaluated by arbitrary-precision numerical integration of the density (the
-package uses a continued fraction), session synthesis calls
+package uses a continued fraction, whose two Lentz steps per term are also
+kept here written out one after the other), session synthesis calls
 ``random.gauss`` once per sample (the package inlines the Gaussian pairs),
 the balanced ANOVA, the cell summaries and the window profiles loop
 over samples in Python (the package runs those sums in C iterators), and
@@ -114,6 +115,44 @@ def f_upper_tail_quad(f_stat: float, df1: int, df2: int, dps: int = 30) -> float
         if f_stat == 0:
             return 1.0
         return float(mpmath.quad(pdf, [f_stat, mpmath.inf]))
+
+
+def betacf_reference(a: float, b: float, x: float) -> float:
+    """``stats._betacf`` with the even and the odd modified-Lentz step written out in turn."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ValueError(f"betacf(a={a}, b={b}, x={x}) did not converge")
 
 
 def random_frame(rng: random.Random):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
@@ -361,6 +362,29 @@ def test_compare_summarizes_each_cell_in_the_anova_pass_only(tmp_path, monkeypat
     assert main(["compare", "--reconstruct-paper", "--n-per-cell", "10"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["A=b", "B=y", "5.00", "0.000", "8"] in rows
+
+
+def test_compare_hands_the_anova_its_cells(tmp_path, monkeypatch):
+    """Both compare paths pass a (level_a, level_b) -> values table, not one triple per value."""
+    handed = []
+    anova = stats.two_way_anova
+
+    def record(observations, factor_names):
+        handed.append(observations)
+        return anova(observations, factor_names)
+
+    monkeypatch.setattr(stats, "two_way_anova", record)
+    args = ["compare"]
+    for cell, value, count in (("a:x", 1, 8), ("a:y", 2, 8), ("b:x", 3, 8),
+                               ("b:y", 5, 4), ("b:y", 8, 4)):  # a repeated cell pools
+        path = tmp_path / f"{value}.bin"
+        save_session(constant_recording(value=value, count=count), path)
+        args += ["--cell", f"{cell}={path}"]
+    assert main(args) == 0
+    assert main(["compare", "--reconstruct-paper", "--n-per-cell", "10"]) == 0
+    assert len(handed) == 2 and all(isinstance(cells, Mapping) for cells in handed)
+    assert {cell: list(values) for cell, values in handed[0].items()} == {
+        ("a", "x"): [1] * 8, ("a", "y"): [2] * 8, ("b", "x"): [3] * 8, ("b", "y"): [5] * 4 + [8] * 4}
 
 
 @pytest.mark.parametrize("write", [

@@ -130,6 +130,25 @@ def test_window_errors():
         window_profile([(40, 1), (20, 2)] + series_of([1] * 98, t0=60))
 
 
+@pytest.mark.parametrize("samples, window_ms, shown", [
+    ([(0, 1), (math.nan, 2)], 20, "nan"),
+    ([(0, 1), (math.inf, 2)], 20, "inf"),
+    ([(-math.inf, 1), (0, 2)], 20, "-inf"),
+    ([(math.nan, 1)], 20, "nan"),
+    ([(0, 1), (math.nan, 2), (10, 3)], 40, "nan"),
+], ids=["nan-last", "inf-last", "minus-inf-first", "nan-alone", "nan-inside"])
+def test_window_profile_refuses_a_timestamp_that_is_not_finite(samples, window_ms, shown):
+    for policy in PartialPolicy:
+        with pytest.raises(ValueError, match=f"^timestamps must be finite, got {shown}$"):
+            window_profile(samples, window_ms, partial_policy=policy)
+
+
+def test_window_mean_past_the_float_range_names_the_window():
+    with pytest.raises(ValueError, match="^window 1 mean is out of float range$"):
+        window_profile([(0, 1), (20, 10**400)], 20)
+    assert window_profile([(0, 10**400)], 20, Statistic.PEAK).values() == [10**400]
+
+
 def test_mean_invariant_under_within_window_permutation():
     rng = random.Random(31)
     values = [rng.randrange(0, 1000) for _ in range(300)]

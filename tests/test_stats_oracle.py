@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gripstream.profiling import PartialPolicy, Series, Statistic, profile_csv, window_profile
-from gripstream.stats import mean_sem, two_way_anova
+from gripstream.stats import _betacf, mean_sem, two_way_anova
 from oracles import (
+    betacf_reference,
     mean_sem_reference,
     profile_csv_reference,
     two_way_anova_reference,
@@ -58,10 +59,15 @@ def series(draw):
 @settings(max_examples=100)
 @given(balanced_designs())
 def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
-    assert outcome(two_way_anova, observations) == outcome(two_way_anova_reference, observations)
+    expected = outcome(two_way_anova_reference, observations)
+    assert outcome(two_way_anova, observations) == expected
     cells = {}
     for la, lb, v in observations:
         cells.setdefault((la, lb), []).append(v)
+    assert outcome(two_way_anova, cells) == expected
+    columns = {cell: array("H" if all(isinstance(v, int) for v in values) else "d", values)
+               for cell, values in cells.items()}  # array cells, as sensor_series hands them over
+    assert outcome(two_way_anova, columns) == expected
     for values in [*cells.values(), [v for _, _, v in observations]]:
         assert outcome(mean_sem, values) == outcome(mean_sem_reference, values)
 
@@ -103,6 +109,33 @@ def test_anova_errors_match_the_reference(observations):
     got = outcome(two_way_anova, observations)
     assert isinstance(got, tuple)
     assert got == outcome(two_way_anova_reference, observations)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({("a", "x"): [1, 2], ("a", "y"): [3, 4], ("b", "x"): [5, 6], ("b", "y"): []},
+     r"^cell counts must be equal \(\('a', 'x'\): n=2, .*\('b', 'y'\): n=0\)$"),
+    ({("a", "x"): [], ("a", "y"): [], ("b", "x"): [], ("b", "y"): []},
+     r"^every cell needs >= 2 observations, got n=0$"),
+], ids=["one-empty", "all-empty"])
+def test_anova_refuses_an_empty_cell(cells, message):
+    with pytest.raises(ValueError, match=message):
+        two_way_anova(cells)
+
+
+def test_anova_leaves_the_callers_cells_as_they_are():
+    cells = {("a", "x"): [1, 2], ("a", "y"): [3, 5], ("b", "x"): [8, 13], ("b", "y"): [21, 34]}
+    two_way_anova(cells)
+    assert cells == {("a", "x"): [1, 2], ("a", "y"): [3, 5],
+                     ("b", "x"): [8, 13], ("b", "y"): [21, 34]}
+    assert all(type(v) is int for values in cells.values() for v in values)
+
+
+@settings(max_examples=300)
+@given(st.floats(1e-3, 1e8), st.floats(1e-3, 1e8), st.floats(0, 1))
+@example(1e7, 1e7, 0.5)  # needs more than 500 terms
+def test_betacf_matches_the_two_step_loop(a, b, x):
+    """One loop over the even and odd coefficients gives the written-out steps' every bit."""
+    assert outcome(_betacf, a, b, x) == outcome(betacf_reference, a, b, x)
 
 
 def test_mean_sem_errors_and_single_value_match_the_reference():
