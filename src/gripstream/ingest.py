@@ -51,6 +51,7 @@ from .recording import (
     IoFailure,
     MisplacedFrame,
     SessionRecording,
+    check_meta,
     placed,
     write_file,
 )
@@ -166,8 +167,6 @@ class GapReport:
 
 def detect_gaps(recording: SessionRecording) -> GapReport:
     """Find seq holes. Expected count spans first..last seq inclusive."""
-    if not recording.frames:
-        raise ValueError("cannot detect gaps in an empty recording")
     seq = recording.frames.seq
     # seq strictly increases, so a hole is >= 0 and true exactly when frames are missing
     holes = list(map(sub, map(sub, islice(seq, 1, None), seq), repeat(1)))
@@ -199,13 +198,13 @@ class SessionRecorder:
     pile up in the socket between reads. The recording rule (:func:`~.recording.placed`)
     runs once per connection, at close. The bound address is available as :attr:`address`
     before :meth:`run` is called, so callers can bind port 0 and stream to the real port.
-    A bad endpoint, ``connections`` or ``timeout`` raises ValueError before any bind.
+    Bad metadata, endpoint, ``connections`` or ``timeout`` raises ValueError before any bind.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  user_id: str, expertise: Expertise, session_index: int,
                  connections: int = 1, timeout: float | None = None):
-        self._meta = (user_id, Expertise(expertise), session_index)
+        self._meta = check_meta(user_id, expertise, session_index)
         self._connections = check_connections(connections)
         self._timeout = check_timeout(timeout)
         check_endpoint(host, port)
@@ -287,10 +286,6 @@ def load_session(path) -> SessionRecording:
 
 def _to_binary(recording: SessionRecording) -> bytes:
     user = recording.user_id.encode("utf-8")
-    if len(user) > 0xFFFF:
-        raise ValueError("user_id too long to persist")
-    if not 0 <= recording.session_index <= 0xFFFFFFFF:
-        raise ValueError(f"session_index out of u32 range: {recording.session_index}")
     out = bytearray(BINARY_MAGIC)
     out += struct.pack("<H", len(user))
     out += user
@@ -340,21 +335,15 @@ def _from_binary(blob: bytes) -> SessionRecording:
     if pos != len(blob):
         raise MalformedFile(f"{len(blob) - pos} trailing bytes after last frame", offset=pos)
     try:
-        return SessionRecording(
-            user_id=user_id,
-            expertise=_EXPERTISE_BY_CODE[exp_code],
-            session_index=session_index,
-            hand=Hand(hand_code),
-            frames=frames,
-        )
-    except MisplacedFrame as exc:
-        raise MalformedFile(str(exc), offset=pos - (count - exc.index) * FRAME_SIZE) from exc
+        return SessionRecording(user_id, _EXPERTISE_BY_CODE[exp_code], session_index,
+                                Hand(hand_code), frames)
+    except ValueError as exc:  # a misplaced frame, or none at all: count 0, at the header end
+        index = exc.index if isinstance(exc, MisplacedFrame) else 0
+        raise MalformedFile(str(exc), offset=pos - (count - index) * FRAME_SIZE) from exc
 
 
 def _csv_text(recording: SessionRecording) -> str:
     """The CSV file of ``recording``: the header, then one row per frame."""
-    if not recording.frames:
-        raise ValueError("an empty recording has no CSV form: its metadata lives in the rows")
     meta = io.StringIO()
     # with CR in the terminator, the writer quotes a CR in user_id as it does a LF
     csv.writer(meta, lineterminator="\r\n").writerow(
@@ -431,7 +420,7 @@ def _csv_columns(text: str) -> SessionRecording | None:
     frames = Frames(bytes((hand,)) * len(seq), seq, timestamps, amplitudes)
     try:
         return SessionRecording(user_id, expertise, session_index, hand, frames)
-    except MisplacedFrame:  # seq not increasing: the per-row parser names the line
+    except ValueError:  # the per-row parser names the line of what the recording refuses
         return None
 
 
@@ -473,7 +462,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
         row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
         if meta is None:
-            meta = row_meta
+            meta, first_line = row_meta, lineno
         elif row_meta != meta:
             raise MalformedFile("session metadata changes between rows", line=lineno)
 
@@ -491,6 +480,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             raise MalformedFile(str(exc), line=lineno) from None
     if meta is None:
         raise MalformedFile("no data rows; session metadata is unrecoverable", line=1)
-    return SessionRecording(
-        user_id=meta[0], expertise=meta[1], session_index=meta[2], hand=meta[3], frames=frames
-    )
+    try:
+        return SessionRecording(*meta, frames)
+    except ValueError as exc:  # metadata a file format cannot hold
+        raise MalformedFile(str(exc), line=first_line) from None

@@ -78,8 +78,6 @@ class Series(Sequence):
 def sensor_series(recording: SessionRecording, sensor: int | SensorId) -> Series:
     """(timestamp_ms, amplitude mV) for one sensor: the recording's own ``timestamp_ms``
     column, shared and not copied, beside the sensor's ``array('H')`` of amplitudes."""
-    if not recording.frames:
-        raise ValueError("recording has no frames")
     slot = (sensor if isinstance(sensor, SensorId) else SensorId.of(int(sensor))).index - 1
     frames = recording.frames
     return Series(frames.timestamp_ms, frames.amplitudes[slot::SENSOR_COUNT])
@@ -132,7 +130,7 @@ def window_profile(
                          f"{next(t for t in times if not -inf < t < inf)}")
     expected = window_ms // NOMINAL_INTERVAL_MS
     windows, hi = [], 0
-    for index in range((times[-1] - t0) // window_ms + 1):
+    for index in range(int((times[-1] - t0) // window_ms) + 1):  # a float span floors to a float
         lo, hi = hi, bisect_left(times, t0 + (index + 1) * window_ms, hi)
         count = hi - lo
         if partial_policy is PartialPolicy.DROP_INCOMPLETE and count < expected:
@@ -151,8 +149,6 @@ def window_profile(
 
 def task_time(recording: SessionRecording) -> float:
     """Session duration in seconds: (last - first timestamp + one 20 ms slot) / 1000."""
-    if not recording.frames:
-        raise ValueError("recording has no frames")
     times = recording.frames.timestamp_ms
     return (times[-1] - times[0] + NOMINAL_INTERVAL_MS) / 1000
 

@@ -134,7 +134,7 @@ class GloveFrame:
 
 def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -> GloveFrame:
     """A GloveFrame without ``__post_init__``'s checks, for fields valid by construction:
-    those ``decode_frame`` unpacks with ``struct``, and the synthesizer's clamped draws."""
+    those ``decode_frame`` unpacks with ``struct``, and those read from ``Frames``' columns."""
     frame = object.__new__(GloveFrame)
     object.__setattr__(frame, "hand", hand)
     object.__setattr__(frame, "seq", seq)

@@ -39,6 +39,18 @@ def write_file(path, data: bytes | str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def check_meta(user_id: str, expertise: Expertise,
+               session_index: int) -> tuple[str, Expertise, int]:
+    """(user_id, Expertise, session_index) if both file formats can hold them, else ValueError:
+    exactly a str of at most 65535 UTF-8 bytes, a known expertise, exactly an int in u32 range."""
+    # a lone surrogate fails the encode with UnicodeEncodeError, a ValueError
+    if type(user_id) is not str or len(user_id.encode("utf-8")) > 0xFFFF:
+        raise ValueError("user_id must be a str of at most 65535 UTF-8 bytes")
+    if type(session_index) is not int or not 0 <= session_index <= 0xFFFFFFFF:
+        raise ValueError(f"session_index must be an int in 0..4294967295, got {session_index!r}")
+    return user_id, Expertise(expertise), session_index
+
+
 def first_misplaced(frames: Frames, hand: Hand) -> int:
     """Index of the first frame not of ``hand`` or not after its predecessor's seq, else len."""
     seq = frames.seq
@@ -64,6 +76,7 @@ def placed(frames: Frames, hand: Hand) -> Frames:
 class SessionRecording:
     """All frames captured from one glove during one task session.
 
+    A recording holds at least one frame, and its metadata passes :func:`check_meta`.
     Frames are ordered by strictly increasing seq (gaps allowed; see
     ingest.detect_gaps) and all belong to ``hand``. ``frames`` may be given
     as any iterable of GloveFrame and is kept as columns, a read-only
@@ -81,12 +94,13 @@ class SessionRecording:
     dropped_frames: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.expertise, str) and not isinstance(self.expertise, Expertise):
-            self.expertise = Expertise(self.expertise)
-        if not isinstance(self.hand, Hand):
-            self.hand = Hand(self.hand)
+        self.user_id, self.expertise, self.session_index = check_meta(
+            self.user_id, self.expertise, self.session_index)
+        self.hand = Hand(self.hand)
         if not isinstance(self.frames, Frames):
             self.frames = Frames.of(self.frames)
+        if not self.frames:
+            raise ValueError("a recording holds at least one frame")
         index = first_misplaced(self.frames, self.hand)
         if index < len(self.frames):
             frame = self.frames[index]

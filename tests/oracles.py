@@ -368,7 +368,7 @@ def window_profile_reference(series, window_ms=2000, statistic="mean",
         buckets.setdefault((t - t0) // window_ms, []).append(value)
 
     windows = []
-    for index in range(max(buckets) + 1):
+    for index in range(int(max(buckets)) + 1):
         values = buckets.get(index, [])
         if partial_policy is PartialPolicy.DROP_INCOMPLETE and len(values) < expected:
             continue
@@ -406,9 +406,12 @@ def profile_csv_reference(profile) -> str:
 
 
 def check_frames_reference(frames, hand) -> None:
-    """``SessionRecording``'s seq/hand rule, one frame at a time."""
+    """``SessionRecording``'s frame rule, one frame at a time: at least one frame, all of
+    ``hand`` and in increasing seq."""
     from gripstream.recording import MisplacedFrame
 
+    if not frames:
+        raise ValueError("a recording holds at least one frame")
     last_seq = -1
     for index, frame in enumerate(frames):
         if frame.hand != hand:
@@ -475,6 +478,8 @@ def from_binary_reference(blob: bytes):
         pos += FRAME_SIZE
     if pos != len(blob):
         raise MalformedFile(f"{len(blob) - pos} trailing bytes after last frame", offset=pos)
+    if not frames:
+        raise MalformedFile("a recording holds at least one frame", offset=pos)
     try:
         return SessionRecording(
             user_id=user_id,
@@ -551,7 +556,7 @@ def parse_csv_reference(blob: bytes, name: str):
         hand = Hand.LEFT if hand_name == "left" else Hand.RIGHT
         row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
         if meta is None:
-            meta = row_meta
+            meta, first_line = row_meta, lineno
         elif row_meta != meta:
             raise MalformedFile("session metadata changes between rows", line=lineno)
 
@@ -569,6 +574,12 @@ def parse_csv_reference(blob: bytes, name: str):
             raise MalformedFile(str(exc), line=lineno) from None
     if meta is None:
         raise MalformedFile("no data rows; session metadata is unrecoverable", line=1)
+    # what the binary format holds: a u16-prefixed UTF-8 id and a u32 session index
+    if len(meta[0].encode("utf-8")) > 0xFFFF:
+        raise MalformedFile("user_id must be a str of at most 65535 UTF-8 bytes", line=first_line)
+    if not 0 <= meta[2] <= 0xFFFFFFFF:
+        raise MalformedFile(f"session_index must be an int in 0..4294967295, got {meta[2]}",
+                            line=first_line)
     return SessionRecording(
         user_id=meta[0], expertise=meta[1], session_index=meta[2], hand=meta[3], frames=frames
     )

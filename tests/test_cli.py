@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 from collections.abc import Mapping
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 import gripstream
 from gripstream import stats
 from gripstream.cli import main
-from gripstream.ingest import load_session, save_session
+from gripstream.ingest import CSV_HEADER, load_session, save_session
 from gripstream.profiling import profile_export, window_profile
 from gripstream.protocol import GloveFrame, Hand
 from gripstream.recording import Expertise, IoFailure, SessionRecording
@@ -190,7 +189,7 @@ def test_simulate_bad_value_names_its_key_and_file(tmp_path, capsys, novice_conf
 
 
 def test_simulate_rejects_nonpositive_duration(tmp_path, capsys):
-    # 0.01 s holds no whole 20 ms frame, and an empty session has no CSV form
+    # 0.01 s holds no whole 20 ms frame, and a recording holds at least one
     for duration, out in (("0", tmp_path / "x.bin"), ("0.01", tmp_path / "e.csv")):
         assert main(["simulate", "--user", "novice", "--duration", duration,
                      "--out", str(out)]) == 2
@@ -427,11 +426,24 @@ def test_export_csv_syntax_error_is_data_error(tmp_path, capsys):
 
 def test_export_rejects_session_index_binary_cannot_hold(tmp_path, capsys):
     src, out = tmp_path / "neg.csv", tmp_path / "neg.bin"
-    save_session(replace(constant_recording(), session_index=-1), src)
+    src.write_text(CSV_HEADER + "\nc,novice,-1,left,0,0" + ",100" * 12 + "\n", encoding="utf-8")
     assert main(["export", "--in", str(src), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gripstream: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("session_index", ["-3", "4294967296"])
+def test_analyze_rejects_a_csv_session_index_binary_cannot_hold(tmp_path, capsys,
+                                                                session_index):
+    src = tmp_path / "big.csv"
+    src.write_text(f"{CSV_HEADER}\nc,novice,{session_index},left,0,0" + ",100" * 12 + "\n",
+                   encoding="utf-8")
+    assert main(["analyze", "--in", str(src), "--sensor", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"gripstream: session_index must be an int in 0..4294967295, "
+                   f"got {session_index} (line 2)\n")
 
 
 def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):

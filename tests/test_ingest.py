@@ -3,8 +3,10 @@ import io
 import math
 import random
 import socket
+import struct
 import threading
 import time
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -394,7 +396,9 @@ def test_bind_failure_on_taken_port():
 @pytest.mark.parametrize("setting", [dict(host=""), dict(port=99999), dict(port=-1),
                                      dict(connections=0), dict(connections=-1),
                                      dict(timeout=math.inf), dict(timeout=math.nan),
-                                     dict(timeout=-1.0), dict(timeout=0.0)])
+                                     dict(timeout=-1.0), dict(timeout=0.0),
+                                     dict(session_index=-1), dict(session_index=True),
+                                     dict(user_id=None), dict(expertise="x")])
 def test_recorder_rejects_bad_settings_before_binding(monkeypatch, setting):
     def no_listener(*args, **kwargs):
         raise AssertionError("a listener was bound")
@@ -402,7 +406,8 @@ def test_recorder_rejects_bad_settings_before_binding(monkeypatch, setting):
     monkeypatch.setattr(socket, "create_server", no_listener)
     kwargs = dict(host="127.0.0.1", port=0, user_id="u", expertise=Expertise.NOVICE,
                   session_index=1, timeout=1.0) | setting
-    with pytest.raises(ValueError, match="endpoint must be|connections must|timeout must"):
+    with pytest.raises(ValueError, match="endpoint must be|connections must|timeout must|"
+                                         "session_index must|user_id must|not a valid Expertise"):
         SessionRecorder(**kwargs)
 
 
@@ -458,12 +463,6 @@ def test_detect_gaps_random_drop_accounts_for_everything():
     assert report.missing == 1000 - len(keep)
 
 
-def test_detect_gaps_empty_recording():
-    recording = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(ValueError, match="^cannot detect gaps in an empty recording$"):
-        detect_gaps(recording)
-
-
 # --- persistence -------------------------------------------------------------
 
 
@@ -485,19 +484,65 @@ def test_round_trip_randomized_recordings(tmp_path):
             assert load_session(path) == recording
 
 
-def test_round_trip_empty_recording_binary(tmp_path):
-    recording = SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, [])
+# metadata both formats hold, with ids at the u16 length prefix in 1- and 2-byte characters
+STORABLE = dict(
+    user_id=st.one_of(st.text(max_size=12), st.sampled_from(("u" * 0xFFFF, "é" * 0x7FFF + "u"))),
+    expertise=st.sampled_from((*Expertise, "novice", "expert")),
+    session_index=st.sampled_from((0, 1, 2**32 - 1)),
+    hand=st.sampled_from((*Hand, 0, 1, True)),
+)
+# and values no format holds: an id one byte past the prefix, a lone surrogate, no text
+UNSTORABLE = dict(
+    user_id=st.sampled_from(("u" * 0x10000, "é" * 0x8000, "a\ud800", None, b"u", 7)),
+    expertise=st.sampled_from(("EXPERT", "", 0, None)),
+    session_index=st.sampled_from((-1, 2**32, 1.5, True, None)),
+    hand=st.sampled_from((2, -1, "left", None)),
+)
+
+
+@st.composite
+def recording_fields(draw):
+    """Storable metadata, with at most one field swapped for a value no format holds."""
+    fields = {name: draw(values) for name, values in STORABLE.items()}
+    spoiled = draw(st.sampled_from((None, *UNSTORABLE)))
+    if spoiled:
+        fields[spoiled] = draw(UNSTORABLE[spoiled])
+    return fields, spoiled is None
+
+
+@settings(max_examples=500, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(recording_fields())
+def test_every_recording_that_builds_round_trips_in_both_formats(tmp_path, drawn):
+    fields, storable = drawn
+    hand = fields["hand"] if fields["hand"] in (0, 1) else Hand.LEFT
+    frames = [GloveFrame(hand, 3, 60, (9,) * 12)]
+    if not storable:
+        with pytest.raises(ValueError):
+            SessionRecording(**fields, frames=frames)
+        return
+    recording = SessionRecording(**fields, frames=frames)
+    for name in ("r.bin", "r.csv"):
+        save_session(recording, tmp_path / name)
+        assert load_session(tmp_path / name) == recording
+
+
+@pytest.mark.parametrize("frames", [[], Frames(b"", array("I"), array("Q"), array("H"))],
+                         ids=["list", "columns"])
+def test_recording_refuses_an_empty_frame_list(frames):
+    """So gap detection, both writers, sensor_series and task_time never see one."""
+    with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
+        SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, frames)
+
+
+def test_binary_file_of_no_frames_is_malformed(tmp_path):
+    blob = _to_binary(make_recording(1, user_id="u"))[:-FRAME_SIZE]
+    blob = blob[:-4] + struct.pack("<I", 0)  # the frame count
     path = tmp_path / "empty.bin"
-    save_session(recording, path, format="binary")
-    assert load_session(path) == recording
-
-
-def test_empty_recording_has_no_csv_form(tmp_path):
-    recording = SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, [])
-    path = tmp_path / "empty.csv"
-    with pytest.raises(ValueError, match="^an empty recording has no CSV form"):
-        save_session(recording, path)
-    assert not path.exists()
+    path.write_bytes(blob)
+    with pytest.raises(MalformedFile, match="^a recording holds at least one frame") as exc:
+        load_session(path)
+    assert exc.value.offset == len(blob)
 
 
 def test_csv_single_frame_layout(tmp_path):
@@ -637,7 +682,9 @@ def test_csv_lone_carriage_return_is_malformed(tmp_path):
 
 def test_csv_oversized_field_is_malformed(tmp_path):
     path = tmp_path / "r.csv"
-    save_session(make_recording(2, user_id="u" * 200_000), path, format="csv")
+    rows = "".join(f"{'u' * 200_000},novice,1,left,{seq},{seq * 20}" + ",0" * 12 + "\n"
+                   for seq in range(2))
+    path.write_text(CSV_HEADER + "\n" + rows, encoding="utf-8")
     with pytest.raises(MalformedFile) as exc:
         load_session(path)
     assert exc.value.line == 2
@@ -806,6 +853,8 @@ FRAME_EDITS = st.lists(
         st.tuples(st.just("octet"), st.integers(0, 2**32 - 1), OCTET),
         st.tuples(st.just("swap"), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
         st.tuples(st.just("repeat"), st.integers(0, 2**32 - 1), st.none()),
+        # the first frames only, under a header count that says so
+        st.tuples(st.just("keep"), st.integers(0, 2**32 - 1), st.none()),
     ),
     max_size=2,
 )
@@ -814,12 +863,18 @@ FRAME_EDITS = st.lists(
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), edits=FRAME_EDITS,
        damage=st.one_of(st.just([]), FILE_DAMAGE))
+@example(seed=0, edits=[("keep", 0, None)], damage=[])  # a count of 0
 def test_binary_loader_agrees_with_the_per_frame_reference(seed, edits, damage):
     recording = random_recording(random.Random(seed), max_frames=40)
     blob = _to_binary(recording)
     first = len(blob) - len(recording) * FRAME_SIZE
     frames = [blob[i:i + FRAME_SIZE] for i in range(first, len(blob), FRAME_SIZE)]
     for kind, a, b in edits:
+        if kind == "keep":
+            del frames[a % (len(frames) + 1):]
+            continue
+        if not frames:
+            continue
         a = a % len(frames)
         if kind == "octet":
             frames[a] = with_octet(frames[a], *b)
@@ -828,7 +883,8 @@ def test_binary_loader_agrees_with_the_per_frame_reference(seed, edits, damage):
             frames[a], frames[b] = frames[b], frames[a]
         elif a:
             frames[a] = frames[a - 1]
-    blob = damage_file(blob[:first] + b"".join(frames), damage)
+    blob = blob[:first - 4] + struct.pack("<I", len(frames)) + b"".join(frames)
+    blob = damage_file(blob, damage)
     assert_agree(_from_binary, from_binary_reference, blob)
 
 
@@ -863,6 +919,9 @@ CSV_EDITS = st.lists(
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), edits=CSV_EDITS,
        damage=st.one_of(st.just([]), FILE_DAMAGE))
+# a session_index on every row that the binary format cannot hold
+@example(seed=0, edits=[("column", (2, "-1"))], damage=[])
+@example(seed=0, edits=[("column", (2, "4294967296"))], damage=[])
 def test_csv_loader_agrees_with_the_per_row_reference(seed, edits, damage):
     text = _csv_text(random_recording(random.Random(seed), max_frames=20))
     header, *rows = csv.reader(io.StringIO(text))

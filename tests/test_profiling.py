@@ -80,12 +80,6 @@ def test_series_shares_the_recordings_columns():
         assert list(series) == list(zip(series.times, series.values))
 
 
-def test_series_empty_recording():
-    empty = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(ValueError, match="^recording has no frames$"):
-        sensor_series(empty, 7)
-
-
 # --- windowing ---------------------------------------------------------------
 
 
@@ -214,12 +208,6 @@ def test_task_time_novice_session():
 
 def test_task_time_single_frame():
     assert task_time(recording_with([(1,)])) == 0.02
-
-
-def test_task_time_empty():
-    empty = SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, [])
-    with pytest.raises(ValueError, match="^recording has no frames$"):
-        task_time(empty)
 
 
 # --- export ------------------------------------------------------------------

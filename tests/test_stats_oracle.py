@@ -51,6 +51,8 @@ def series(draw):
                       st.integers(1, 3).map(lambda k: k * window_ms))
     start = draw(st.integers(0, 10**6))
     times = list(accumulate(draw(st.lists(steps, max_size=300)), initial=start))
+    if draw(st.booleans()):  # integer-valued float timestamps, which floor-divide to floats
+        times = list(map(float, times))
     values = draw(st.lists(AMPLITUDES if draw(st.booleans()) else READINGS,
                            min_size=len(times), max_size=len(times)))
     return list(zip(times, values)), window_ms
@@ -74,12 +76,13 @@ def test_anova_and_cell_summaries_match_the_per_sample_loop(observations):
 
 @settings(max_examples=300)
 @given(series(), st.sampled_from(list(Statistic)), st.sampled_from(list(PartialPolicy)))
+@example(([(0.0, 1), (20.0, 2)], 20), Statistic.MEAN, PartialPolicy.KEEP_PARTIAL)
 def test_window_profile_matches_the_per_sample_loop(drawn, statistic, policy):
     samples, window_ms = drawn
     expected = outcome(window_profile_reference, samples, window_ms, statistic, policy)
     assert outcome(window_profile, samples, window_ms, statistic, policy) == expected
     times, values = zip(*samples)
-    if all(isinstance(v, int) for v in values):  # the columns sensor_series hands over
+    if all(isinstance(v, int) for v in (*times, *values)):  # the columns sensor_series hands over
         columns = Series(array("Q", times), array("H", values))
         assert outcome(window_profile, columns, window_ms, statistic, policy) == expected
 
