@@ -463,6 +463,12 @@ def test_detect_gaps_random_drop_accounts_for_everything():
     assert report.missing == 1000 - len(keep)
 
 
+def test_detect_gaps_empty_recording():
+    """The recording refuses no frames, so detect_gaps never sees an empty one."""
+    with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
+        detect_gaps(SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, []))
+
+
 # --- persistence -------------------------------------------------------------
 
 
@@ -543,6 +549,13 @@ def test_binary_file_of_no_frames_is_malformed(tmp_path):
     with pytest.raises(MalformedFile, match="^a recording holds at least one frame") as exc:
         load_session(path)
     assert exc.value.offset == len(blob)
+
+
+def test_empty_recording_has_no_csv_form(tmp_path):
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
+        save_session(SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, []), path)
+    assert not path.exists()
 
 
 def test_csv_single_frame_layout(tmp_path):

@@ -80,6 +80,12 @@ def test_series_shares_the_recordings_columns():
         assert list(series) == list(zip(series.times, series.values))
 
 
+def test_series_empty_recording():
+    """The recording refuses no frames, so sensor_series never sees an empty one."""
+    with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
+        sensor_series(SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, []), 7)
+
+
 # --- windowing ---------------------------------------------------------------
 
 
@@ -208,6 +214,12 @@ def test_task_time_novice_session():
 
 def test_task_time_single_frame():
     assert task_time(recording_with([(1,)])) == 0.02
+
+
+def test_task_time_empty():
+    """The recording refuses no frames, so task_time never sees an empty one."""
+    with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
+        task_time(SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, []))
 
 
 # --- export ------------------------------------------------------------------
