@@ -225,13 +225,13 @@ class SessionRecorder:
         closed and what each delivered is kept; ``None`` waits forever.
         Recordings come back in accept order.
         """
-        deadline = None if self._timeout is None else time.monotonic() + self._timeout
+        deadline = time.monotonic() + (math.inf if self._timeout is None else self._timeout)
         peers: list[tuple[FrameStreamDecoder, list[Frames]]] = []
         with self._server, selectors.DefaultSelector() as selector, ExitStack() as conns:
             selector.register(self._server, selectors.EVENT_READ)
-            while selector.get_map() and (deadline is None or time.monotonic() < deadline):
+            while selector.get_map() and time.monotonic() < deadline:
                 # epoll waits at most 2**31 - 1 ms a call; the loop waits on to the deadline
-                wait = None if deadline is None else min(deadline - time.monotonic(), 2e6)
+                wait = min(deadline - time.monotonic(), 2e6)
                 for key, _events in selector.select(wait):
                     if key.data is None:
                         conn = conns.enter_context(self._server.accept()[0])
@@ -378,6 +378,19 @@ _HAND_BY_NAME = {"left": Hand.LEFT, "right": Hand.RIGHT}
 _CSV_BLOCK = 4096  # rows converted at once; bounds the memory the split fields take
 
 
+def _csv_meta(fields, lineno: int) -> tuple[str, Expertise, int, Hand]:
+    """A row's metadata as (user_id, Expertise, session_index, Hand), else MalformedFile."""
+    user_id, expertise_text, session_text, hand_text = fields
+    try:
+        expertise = Expertise(expertise_text.lower())
+    except ValueError:
+        raise MalformedFile(f"unknown expertise {expertise_text!r}", line=lineno,
+                            column="expertise") from None
+    if (hand := _HAND_BY_NAME.get(hand_text.lower())) is None:
+        raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
+    return user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand
+
+
 def _csv_columns(text: str) -> SessionRecording | None:
     """The recording in ``text`` read by splitting, or None if the text is not plain.
 
@@ -411,15 +424,12 @@ def _csv_columns(text: str) -> SessionRecording | None:
             timestamps.extend(ints[1::_CSV_INTS])
             del ints[0::_CSV_INTS], ints[0::_CSV_INTS - 1]  # seq, then timestamp_ms
             amplitudes.extend(ints)
-        user_id, expertise_text, session_text, hand_text = meta
-        expertise = Expertise(expertise_text.lower())
-        hand = _HAND_BY_NAME[hand_text.lower()]
-        session_index = int(session_text)
-    except (ValueError, KeyError, OverflowError):
+        meta = _csv_meta(meta, 2)
+    except (ValueError, OverflowError):
         return None
-    frames = Frames(bytes((hand,)) * len(seq), seq, timestamps, amplitudes)
+    frames = Frames(bytes((meta[3],)) * len(seq), seq, timestamps, amplitudes)
     try:
-        return SessionRecording(user_id, expertise, session_index, hand, frames)
+        return SessionRecording(*meta, frames)
     except ValueError:  # the per-row parser names the line of what the recording refuses
         return None
 
@@ -450,32 +460,22 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             continue
         if len(row) != len(columns):
             raise MalformedFile(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
-        user_id, expertise_text, session_text, hand_text, seq_text, timestamp_text, *amp_texts = row
-        try:
-            expertise = Expertise(expertise_text.lower())
-        except ValueError:
-            raise MalformedFile(
-                f"unknown expertise {expertise_text!r}", line=lineno, column="expertise"
-            ) from None
-        hand = _HAND_BY_NAME.get(hand_text.lower())
-        if hand is None:
-            raise MalformedFile(f"unknown hand {hand_text!r}", line=lineno, column="hand")
-        row_meta = (user_id, expertise, _csv_int(session_text, lineno, "session_index"), hand)
+        row_meta = _csv_meta(row[:4], lineno)
         if meta is None:
             meta, first_line = row_meta, lineno
         elif row_meta != meta:
             raise MalformedFile("session metadata changes between rows", line=lineno)
 
-        seq = _csv_int(seq_text, lineno, "seq")
+        seq = _csv_int(row[4], lineno, "seq")
         if seq <= last_seq:
             raise MalformedFile(f"seq {seq} not increasing", line=lineno, column="seq")
         last_seq = seq
-        timestamp = _csv_int(timestamp_text, lineno, "timestamp_ms")
+        timestamp = _csv_int(row[5], lineno, "timestamp_ms")
         amps = tuple(
-            _csv_int(value, lineno, column) for value, column in zip(amp_texts, amp_columns)
+            _csv_int(value, lineno, column) for value, column in zip(row[6:], amp_columns)
         )
         try:
-            frames.append(GloveFrame(hand, seq, timestamp, amps))
+            frames.append(GloveFrame(row_meta[3], seq, timestamp, amps))
         except ValueError as exc:
             raise MalformedFile(str(exc), line=lineno) from None
     if meta is None:

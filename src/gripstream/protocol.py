@@ -149,8 +149,8 @@ class Frames(Sequence):
     ``hands`` holds one hand code octet per frame, ``seq`` an ``array('I')``,
     ``timestamp_ms`` an ``array('Q')`` and ``amplitudes`` an ``array('H')``
     of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
-    The constructor takes the columns as given; :meth:`of` builds them from
-    GloveFrames. The first iteration builds every GloveFrame and keeps
+    The constructor takes the columns as given; :meth:`of` is the one
+    conversion into columns. The first iteration builds every GloveFrame and keeps
     them, so a caller that iterates again does not build them again.
     Frames compare equal to Frames with equal columns and to any sequence
     of equal GloveFrames.
@@ -167,8 +167,18 @@ class Frames(Sequence):
 
     @classmethod
     def of(cls, frames) -> "Frames":
-        """The columns of an iterable of GloveFrame."""
-        frames = list(frames)
+        """``frames`` itself if a Frames, else the columns of an iterable of GloveFrame;
+        ValueError for anything else."""
+        if isinstance(frames, Frames):
+            return frames
+        try:
+            frames = list(frames)
+        except TypeError:
+            raise ValueError(f"frames must be an iterable of GloveFrame, "
+                             f"got {type(frames).__name__}") from None
+        for frame in frames:
+            if not isinstance(frame, GloveFrame):
+                raise ValueError(f"frames must be GloveFrames, got {type(frame).__name__}")
         return cls(bytes(map(attrgetter("hand"), frames)),
                    array("I", map(attrgetter("seq"), frames)),
                    array("Q", map(attrgetter("timestamp_ms"), frames)),
@@ -365,8 +375,7 @@ def validate_cadence(frames, tolerance_ms: float = 0) -> CadenceReport:
     Every adjacent pair whose gap deviates from the nominal spacing by more
     than ``tolerance_ms`` is reported.
     """
-    if not isinstance(frames, Frames):
-        frames = Frames.of(frames)
+    frames = Frames.of(frames)
     if len(frames) < 2:
         raise ValueError(f"cadence needs at least 2 frames, got {len(frames)}")
     if not tolerance_ms >= 0:

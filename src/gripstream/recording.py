@@ -72,17 +72,17 @@ def placed(frames: Frames, hand: Hand) -> Frames:
                       map(repeat, keep, repeat(SENSOR_COUNT))))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionRecording:
     """All frames captured from one glove during one task session.
 
     A recording holds at least one frame, and its metadata passes :func:`check_meta`.
     Frames are ordered by strictly increasing seq (gaps allowed; see
     ingest.detect_gaps) and all belong to ``hand``. ``frames`` may be given
-    as any iterable of GloveFrame and is kept as columns, a read-only
-    :class:`~.protocol.Frames` view that builds GloveFrames only when read.
-    ``decode_errors`` and ``dropped_frames`` are receive-side tallies; they
-    do not take part in equality and are not persisted.
+    as any iterable of GloveFrame and is kept as columns (:meth:`Frames.of
+    <.protocol.Frames.of>`). The fields cannot be assigned; ``dataclasses.replace``
+    builds a checked copy. ``decode_errors`` and ``dropped_frames`` are receive-side
+    tallies; they do not take part in equality and are not persisted.
     """
 
     user_id: str
@@ -94,19 +94,22 @@ class SessionRecording:
     dropped_frames: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        self.user_id, self.expertise, self.session_index = check_meta(
-            self.user_id, self.expertise, self.session_index)
-        self.hand = Hand(self.hand)
-        if not isinstance(self.frames, Frames):
-            self.frames = Frames.of(self.frames)
-        if not self.frames:
+        _, expertise, _ = check_meta(self.user_id, self.expertise, self.session_index)
+        object.__setattr__(self, "expertise", expertise)
+        object.__setattr__(self, "hand", Hand(self.hand))
+        object.__setattr__(self, "frames", frames := Frames.of(self.frames))
+        if not frames:
             raise ValueError("a recording holds at least one frame")
-        index = first_misplaced(self.frames, self.hand)
-        if index < len(self.frames):
-            frame = self.frames[index]
-            if frame.hand != self.hand:
-                raise MisplacedFrame(f"frame seq={frame.seq} has hand {frame.hand.name}", index)
-            raise MisplacedFrame(f"frames not sorted by seq at seq={frame.seq}", index)
+        if not (len(frames.hands) == len(frames.timestamp_ms) == len(frames)
+                and len(frames.amplitudes) == SENSOR_COUNT * len(frames)):
+            raise ValueError("frames columns disagree in length")
+        index = first_misplaced(frames, self.hand)
+        if index < len(frames):
+            seq, code = frames.seq[index], frames.hands[index]
+            if code != self.hand:
+                name = Hand(code).name if code < len(Hand) else f"code {code}"
+                raise MisplacedFrame(f"frame seq={seq} has hand {name}", index)
+            raise MisplacedFrame(f"frames not sorted by seq at seq={seq}", index)
 
     def __len__(self) -> int:
         return len(self.frames)

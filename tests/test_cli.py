@@ -347,6 +347,38 @@ def test_compare_without_inputs(capsys):
     assert main(["compare"]) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--reconstruct-paper", "--cell", "a:b=x.bin"],
+     "--reconstruct-paper and --cell are mutually exclusive"),
+    (["--cell", "a:b=x.bin", "--factor-names", "A"],
+     "--factor-names must be NAME_A,NAME_B, got 'A'"),
+    (["--cell", "a:b=x.bin", "--factor-names", "A,B,C"],
+     "--factor-names must be NAME_A,NAME_B, got 'A,B,C'"),
+    (["--cell", "a:b=x.bin", "--factor-names", "A,"],
+     "--factor-names must be NAME_A,NAME_B, got 'A,'"),
+    (["--cell", "x.bin"], "--cell must be LEVELA:LEVELB=PATH, got 'x.bin'"),
+    (["--cell", "a=x.bin"], "--cell must be LEVELA:LEVELB=PATH, got 'a=x.bin'"),
+])
+def test_compare_usage_errors_exit_1_before_reading(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)  # x.bin does not exist: reading it would exit 2
+    assert main(["compare", *args]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"gripstream: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--reconstruct-paper"],
+    ["simulate", "--user", "novice", "--out", "s.bin"],
+])
+def test_non_integer_seed_variable_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GRIPSTREAM_SEED", "abc")
+    assert main(command) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "gripstream: error: GRIPSTREAM_SEED must be an integer, got 'abc'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_summarizes_each_cell_in_the_anova_pass_only(tmp_path, monkeypatch, capsys):
     def refuse(values):
         raise AssertionError("compare summarized a cell outside the ANOVA")
@@ -482,6 +514,36 @@ def test_stream_record_loopback_matches_direct_path(tmp_path, capsys):
     assert main(["analyze", "--in", str(src), "--out", str(direct)]) == 0
     assert main(["analyze", "--in", str(captured[0]), "--out", str(relayed)]) == 0
     assert direct.read_bytes() == relayed.read_bytes()
+
+
+def test_record_numbers_colliding_names_and_reports_receive_tallies(tmp_path, monkeypatch,
+                                                                    capsys):
+    from gripstream import ingest
+
+    first = constant_recording(user_id="user")
+    tallied = SessionRecording("user", Expertise.NOVICE, 1, Hand.LEFT, first.frames,
+                               decode_errors=2, dropped_frames=1)
+
+    class Recorder:
+        address = ("127.0.0.1", 4321)
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def run(self):
+            return [first, tallied]
+
+    monkeypatch.setattr(ingest, "SessionRecorder", Recorder)
+    (tmp_path / "user_s1_left.bin").write_bytes(b"taken")
+    assert main(["record", "--expertise", "novice", "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [str(tmp_path / "user_s1_left_2.bin"),
+                                str(tmp_path / "user_s1_left_3.bin")]
+    assert err == ("listening on 127.0.0.1:4321\n"
+                   "user_s1_left_3.bin: 2 decode errors, 1 dropped frames\n")
+    assert (tmp_path / "user_s1_left.bin").read_bytes() == b"taken"
+    assert load_session(tmp_path / "user_s1_left_2.bin") == first
+    assert load_session(tmp_path / "user_s1_left_3.bin") == tallied
 
 
 @pytest.fixture

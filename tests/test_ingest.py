@@ -7,7 +7,7 @@ import struct
 import threading
 import time
 from array import array
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,8 +27,16 @@ from gripstream.ingest import (
     load_session,
     save_session,
 )
-from gripstream.protocol import FRAME_SIZE, Frames, GloveFrame, Hand, encode_frame, encode_frames
-from gripstream.recording import Expertise, SessionRecording, placed
+from gripstream.protocol import (
+    FRAME_SIZE,
+    Frames,
+    GloveFrame,
+    Hand,
+    decode_frames,
+    encode_frame,
+    encode_frames,
+)
+from gripstream.recording import Expertise, MisplacedFrame, SessionRecording, placed
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
 from oracles import (
     FrameStreamDecoderReference,
@@ -156,6 +164,24 @@ def test_decoder_makes_frames_only_in_bulk(monkeypatch):
     chunks = [payload[i:i + FRAME_SIZE] for i in range(0, len(payload), FRAME_SIZE)]
     assert Frames.concat(map(chunked.feed, chunks)) == intact
     assert whole.errors == chunked.errors == 1
+
+
+def test_resync_runs_stay_short_on_a_stream_dense_with_damage(monkeypatch):
+    """A bulk run after a resync starts at eight frames, so a stream where every other frame
+    fails is not decoded in bulk up to its end at each resync."""
+    payload = wire_bytes(make_recording(2000))
+    for i in range(0, 2000, 2):
+        payload[i * FRAME_SIZE + FRAME_SIZE - 1] ^= 0xFF  # the stored CRC of every even frame
+    requested = []
+
+    def counted(data, start, n):
+        requested.append(n)
+        return decode_frames(data, start, n)
+
+    monkeypatch.setattr(ingest, "decode_frames", counted)
+    frames = FrameStreamDecoder().feed(bytes(payload))
+    assert [f.seq for f in frames] == list(range(1, 2000, 2))
+    assert sum(requested) <= 8 * 2000
 
 
 def test_decoder_skips_frame_with_unknown_hand_byte():
@@ -539,6 +565,106 @@ def test_recording_refuses_an_empty_frame_list(frames):
     """So gap detection, both writers, sensor_series and task_time never see one."""
     with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
         SessionRecording("u", Expertise.TRAINED, 2, Hand.RIGHT, frames)
+
+
+RECORDING_FIELDS = dict(user_id="v", expertise=Expertise.EXPERT, session_index=9, hand=Hand.RIGHT,
+                        frames=[], decode_errors=3, dropped_frames=4)
+
+
+@pytest.mark.parametrize("name", RECORDING_FIELDS)
+def test_recording_fields_cannot_be_assigned(name):
+    """What the writers store was checked once, at construction, and stays so."""
+    recording = make_recording(3)
+    before = replace(recording)
+    with pytest.raises(FrozenInstanceError):
+        setattr(recording, name, RECORDING_FIELDS[name])
+    assert recording == before
+    assert (recording.decode_errors, recording.dropped_frames) == (0, 0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(session_index=-1), "^session_index must be an int in 0..4294967295, got -1$"),
+    (dict(user_id=None), "^user_id must be a str of at most 65535 UTF-8 bytes$"),
+    (dict(expertise="EXPERT"), "'EXPERT' is not a valid Expertise"),
+    (dict(hand=Hand.RIGHT), "^frame seq=0 has hand LEFT$"),
+    (dict(frames=[]), "^a recording holds at least one frame$"),
+])
+def test_replace_goes_through_the_recording_checks(changes, message):
+    with pytest.raises(ValueError, match=message):
+        replace(make_recording(3), **changes)
+
+
+def test_recording_converts_only_expertise_hand_and_frames():
+    frames = [GloveFrame(Hand.LEFT, 0, 0, (1,) * 12)]
+    user_id, session_index = "w", 2**32 - 1
+    recording = SessionRecording(user_id, "trained", session_index, 0, frames)
+    assert recording.user_id is user_id and recording.session_index is session_index
+    assert recording.expertise is Expertise.TRAINED and recording.hand is Hand.LEFT
+    assert type(recording.frames) is Frames and recording.frames == frames
+    columns = recording.frames
+    assert replace(recording).frames is columns  # columns pass through unconverted
+
+
+@pytest.mark.parametrize("frames, message", [
+    (None, "frames must be an iterable of GloveFrame, got NoneType"),
+    (5, "frames must be an iterable of GloveFrame, got int"),
+    ([1], "frames must be GloveFrames, got int"),
+    ([(0,) * 12], "frames must be GloveFrames, got tuple"),
+    ("ab", "frames must be GloveFrames, got str"),
+])
+def test_recording_refuses_what_is_not_glove_frames(frames, message):
+    with pytest.raises(ValueError) as exc:
+        Frames.of(frames)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("hands, seq, timestamps, amplitudes", [
+    (b"\0\0", [0, 1], [0, 20], [5] * 12),
+    (b"\0", [0, 1], [0, 20], [5] * 24),
+    (b"\0\0", [0, 1], [0], [5] * 24),
+    (b"\0\0", [0, 1], [0, 20], [5] * 25),
+], ids=["amplitudes", "hands", "timestamps", "amplitudes-long"])
+def test_recording_refuses_columns_that_disagree_in_length(hands, seq, timestamps, amplitudes):
+    """Else the length, the frames read and the rows written would each say another thing."""
+    frames = Frames(hands, array("I", seq), array("Q", timestamps), array("H", amplitudes))
+    with pytest.raises(ValueError, match="^frames columns disagree in length$"):
+        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
+
+
+def test_recording_names_a_hand_code_outside_hand():
+    frames = Frames(b"\0\5", array("I", [0, 1]), array("Q", [0, 20]), array("H", [5] * 24))
+    with pytest.raises(MisplacedFrame, match="^frame seq=1 has hand code 5$") as exc:
+        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
+    assert exc.value.index == 1
+
+
+def test_recording_refusal_builds_no_frame_object(monkeypatch):
+    """The refusal is worded from the seq and hands columns, not from a GloveFrame."""
+    L, R = Hand.LEFT, Hand.RIGHT
+    cases = [[GloveFrame(h, seq, seq * 20, (seq,) * 12) for h, seq in pairs]
+             for pairs in ([(L, 0), (L, 1), (R, 2), (L, 3)], [(L, 0), (L, 4), (L, 2)])]
+    wanted = []
+    for frames in cases:
+        with pytest.raises(MisplacedFrame) as exc:
+            check_frames_reference(frames, L)
+        wanted.append((str(exc.value), exc.value.index))
+    columns = [Frames.of(frames) for frames in cases]
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a GloveFrame was built")
+
+    monkeypatch.setattr(protocol, "_trusted_frame", no_frame)
+    monkeypatch.setattr(GloveFrame, "__post_init__", no_frame)
+    got = []
+    for frames in columns:
+        with pytest.raises(MisplacedFrame) as exc:
+            SessionRecording("u", Expertise.NOVICE, 1, L, frames)
+        got.append((str(exc.value), exc.value.index))
+    assert got == wanted == [("frame seq=2 has hand RIGHT", 2),
+                             ("frames not sorted by seq at seq=2", 2)]
 
 
 def test_binary_file_of_no_frames_is_malformed(tmp_path):

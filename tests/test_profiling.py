@@ -51,6 +51,13 @@ def test_series_one_sample_per_frame():
     assert series[0][0] == 0 and series[1][0] == 20
 
 
+def test_series_slice_is_a_list_of_pairs():
+    series = sensor_series(recording_with([[10], [11], [12], [13]]), 1)
+    assert series[1:3] == [(20, 11), (40, 12)]
+    assert series[::-3] == [(60, 13), (0, 10)]
+    assert series[-1] == (60, 13)
+
+
 def test_series_sensor_indexing():
     recording = recording_with([range(1, 13)])
     assert sensor_series(recording, 7)[0][1] == 7

@@ -10,6 +10,7 @@ from gripstream.protocol import (
     SENSOR_COUNT,
     SENSORS,
     FrameError,
+    Frames,
     GloveFrame,
     Hand,
     SensorId,
@@ -199,3 +200,16 @@ def test_hundred_frames_fill_one_window():
     # all 100 samples land strictly inside a single 2000 ms window
     assert frames[-1].timestamp_ms - frames[0].timestamp_ms == 1980
     assert sum(1 for f in frames if f.timestamp_ms < 2000) == 100
+
+
+def test_frames_slice_repr_and_foreign_equality():
+    frames = [frame_at(i * 20, i, amps=(i,) * 12) for i in range(4)]
+    columns = Frames.of(frames)
+    assert columns[1:3] == frames[1:3]
+    assert type(columns[1:3]) is list
+    assert columns[::-2] == frames[::-2]
+    assert repr(Frames.of(frames[:1])) == (
+        "Frames([GloveFrame(hand=<Hand.LEFT: 0>, seq=0, timestamp_ms=0, "
+        "amplitudes=(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))])")
+    assert columns.__eq__(5) is NotImplemented
+    assert (columns == 5) is False and (columns != 5) is True
