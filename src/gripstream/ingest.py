@@ -38,9 +38,9 @@ from .protocol import (
     SENSOR_COUNT,
     FrameError,
     Frames,
-    GloveFrame,
     Hand,
     check_endpoint,
+    check_frame_fields,
     decode_frame,
     decode_frames,
     encode_frame,  # noqa: F401  re-exported: perfbench/layers.py wraps ingest.encode_frame
@@ -318,7 +318,7 @@ def _from_binary(blob: bytes) -> SessionRecording:
     exp_code, hand_code, session_index, count = _HEADER_FIXED.unpack(need(pos, _HEADER_FIXED.size))
     if exp_code not in _EXPERTISE_BY_CODE:
         raise MalformedFile(f"unknown expertise code {exp_code}", offset=pos)
-    if hand_code not in (0, 1):
+    if hand_code >= len(Hand):
         raise MalformedFile(f"unknown hand code {hand_code}", offset=pos + 1)
     pos += _HEADER_FIXED.size
     whole = min(count, (len(blob) - pos) // FRAME_SIZE)
@@ -453,8 +453,7 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
         raise MalformedFile(f"header mismatch, expected {CSV_HEADER!r}", line=1)
 
     meta: tuple[str, Expertise, int, Hand] | None = None
-    frames: list[GloveFrame] = []
-    last_seq = -1
+    seqs, timestamps, amplitudes = array("I"), array("Q"), array("H")
     for lineno, row in rows:
         if not row:
             continue
@@ -467,19 +466,20 @@ def _parse_csv(blob: bytes, name: str) -> SessionRecording:
             raise MalformedFile("session metadata changes between rows", line=lineno)
 
         seq = _csv_int(row[4], lineno, "seq")
-        if seq <= last_seq:
+        if seq <= (seqs[-1] if seqs else -1):
             raise MalformedFile(f"seq {seq} not increasing", line=lineno, column="seq")
-        last_seq = seq
         timestamp = _csv_int(row[5], lineno, "timestamp_ms")
-        amps = tuple(
-            _csv_int(value, lineno, column) for value, column in zip(row[6:], amp_columns)
-        )
+        amps = [_csv_int(value, lineno, column) for value, column in zip(row[6:], amp_columns)]
         try:
-            frames.append(GloveFrame(row_meta[3], seq, timestamp, amps))
+            check_frame_fields(seq, timestamp, amps)
         except ValueError as exc:
             raise MalformedFile(str(exc), line=lineno) from None
+        seqs.append(seq)
+        timestamps.append(timestamp)
+        amplitudes.extend(amps)
     if meta is None:
         raise MalformedFile("no data rows; session metadata is unrecoverable", line=1)
+    frames = Frames(bytes((meta[3],)) * len(seqs), seqs, timestamps, amplitudes)
     try:
         return SessionRecording(*meta, frames)
     except ValueError as exc:  # metadata a file format cannot hold

@@ -117,19 +117,9 @@ class GloveFrame:
     amplitudes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.hand, Hand):
-            object.__setattr__(self, "hand", Hand(self.hand))
-        if not 0 <= self.seq <= 0xFFFFFFFF:
-            raise ValueError(f"seq out of u32 range: {self.seq}")
-        if not 0 <= self.timestamp_ms <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError(f"timestamp_ms out of u64 range: {self.timestamp_ms}")
-        if not isinstance(self.amplitudes, tuple):
-            object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
-        if len(self.amplitudes) != SENSOR_COUNT:
-            raise ValueError(f"expected {SENSOR_COUNT} amplitudes, got {len(self.amplitudes)}")
-        for i, a in enumerate(self.amplitudes):
-            if not 0 <= a <= AMPLITUDE_MAX:
-                raise ValueError(f"amplitude s{i + 1} out of u16 range: {a}")
+        object.__setattr__(self, "hand", Hand(self.hand))
+        object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
+        check_frame_fields(self.seq, self.timestamp_ms, self.amplitudes)
 
 
 def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -> GloveFrame:
@@ -146,12 +136,12 @@ def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -
 class Frames(Sequence):
     """Frames stored as parallel columns; reading an item builds its GloveFrame.
 
-    ``hands`` holds one hand code octet per frame, ``seq`` an ``array('I')``,
+    ``hands`` is ``bytes``, one hand code octet per frame, ``seq`` an ``array('I')``,
     ``timestamp_ms`` an ``array('Q')`` and ``amplitudes`` an ``array('H')``
     of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
-    The constructor takes the columns as given; :meth:`of` is the one
-    conversion into columns. The first iteration builds every GloveFrame and keeps
-    them, so a caller that iterates again does not build them again.
+    The constructor takes the columns as given; :meth:`of` is the one conversion into
+    columns and the one check of their types and lengths. The first iteration builds
+    every GloveFrame and keeps them, so iterating again does not build them again.
     Frames compare equal to Frames with equal columns and to any sequence
     of equal GloveFrames.
     """
@@ -167,9 +157,16 @@ class Frames(Sequence):
 
     @classmethod
     def of(cls, frames) -> "Frames":
-        """``frames`` itself if a Frames, else the columns of an iterable of GloveFrame;
-        ValueError for anything else."""
+        """``frames`` itself if a Frames whose columns have the types and lengths the class
+        states, else the columns of an iterable of GloveFrame; ValueError for anything else."""
         if isinstance(frames, Frames):
+            columns = frames.seq, frames.timestamp_ms, frames.amplitudes
+            if not (isinstance(frames.hands, bytes) and all(
+                    isinstance(c, array) and c.typecode == t for c, t in zip(columns, "IQH"))):
+                raise ValueError("frames must hold bytes hands and arrays of typecode I, Q and H")
+            if not (len(frames.hands) == len(frames.timestamp_ms) == len(frames)
+                    and len(frames.amplitudes) == SENSOR_COUNT * len(frames)):
+                raise ValueError("frames columns disagree in length")
             return frames
         try:
             frames = list(frames)
@@ -227,6 +224,20 @@ class Frames(Sequence):
 
     def __repr__(self) -> str:
         return f"Frames({list(self)!r})"
+
+
+def check_frame_fields(seq: int, timestamp_ms: int, amplitudes: Sequence[int]) -> tuple:
+    """``(seq, timestamp_ms, amplitudes)`` if they fit u32, u64 and 12 x u16, else ValueError."""
+    if not 0 <= seq <= 0xFFFFFFFF:
+        raise ValueError(f"seq out of u32 range: {seq}")
+    if not 0 <= timestamp_ms <= 0xFFFFFFFFFFFFFFFF:
+        raise ValueError(f"timestamp_ms out of u64 range: {timestamp_ms}")
+    if len(amplitudes) != SENSOR_COUNT:
+        raise ValueError(f"expected {SENSOR_COUNT} amplitudes, got {len(amplitudes)}")
+    for i, a in enumerate(amplitudes):
+        if not 0 <= a <= AMPLITUDE_MAX:
+            raise ValueError(f"amplitude s{i + 1} out of u16 range: {a}")
+    return seq, timestamp_ms, amplitudes
 
 
 def check_endpoint(host: str, port: int) -> tuple[str, int]:

@@ -100,9 +100,6 @@ class SessionRecording:
         object.__setattr__(self, "frames", frames := Frames.of(self.frames))
         if not frames:
             raise ValueError("a recording holds at least one frame")
-        if not (len(frames.hands) == len(frames.timestamp_ms) == len(frames)
-                and len(frames.amplitudes) == SENSOR_COUNT * len(frames)):
-            raise ValueError("frames columns disagree in length")
         index = first_misplaced(frames, self.hand)
         if index < len(frames):
             seq, code = frames.seq[index], frames.hands[index]

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import pkgutil
+import runpy
 import socket
 import subprocess
 import sys
@@ -46,7 +47,8 @@ def test_every_gripstream_module_imports_only_the_standard_library():
         "print(sorted(added - set(sys.stdlib_module_names) - {'gripstream'}))\n"
     )
     src = str(Path(gripstream.__path__[0]).parent)
-    proc = subprocess.run([sys.executable, "-I", "-c", script, src],
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the child from writing bytecode into src/
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", script, src],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -211,6 +213,10 @@ def test_analyze_profile_csv(tmp_path, capsys):
     assert len(lines) == 5  # 444 frames -> 4 complete windows
     assert all(line.endswith(",100") for line in lines[1:])
     assert "task time 8.88 s" in capsys.readouterr().err
+    # without --out the same profile goes to stdout, byte for byte
+    assert main(["analyze", "--in", str(src), "--sensor", "7", "--window-ms", "2000",
+                 "--stat", "mean"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_analyze_rejects_bad_window(tmp_path, capsys):
@@ -256,6 +262,21 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:'gripstream.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["simulate", "--frobnicate"], 1),
+    (["analyze", "--in", "missing.bin"], 2),
+], ids=["ok", "usage", "data"])
+def test_python_m_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys, args, code):
+    """``python -m gripstream.cli`` runs the module as ``__main__``, as runpy does here."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["gripstream", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("gripstream.cli", run_name="__main__")
+    assert exc.value.code == code
 
 
 def test_compare_reconstruct(tmp_path, capsys):

@@ -35,6 +35,7 @@ from gripstream.protocol import (
     decode_frames,
     encode_frame,
     encode_frames,
+    validate_cadence,
 )
 from gripstream.recording import Expertise, MisplacedFrame, SessionRecording, placed
 from gripstream.simulator import SessionSpec, UserProfile, stream_session, synthesize_session
@@ -406,6 +407,19 @@ def test_record_honours_one_overall_deadline():
         assert len(seqs) >= sum(t < start + 0.8 for t in sent_at[rec.hand]) >= 10
 
 
+def test_a_peer_that_resets_loses_only_its_own_stream():
+    recorder, thread, holder = start_recorder(connections=2)
+    with socket.create_connection(recorder.address, timeout=5) as sock:
+        sock.sendall(encode_frame(GloveFrame(Hand.LEFT, 0, 0, (1,) * 12))[:20])
+        # SO_LINGER(1, 0) turns close() into a hard RST: the receiver's recv fails
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    other = make_recording(50, hand=Hand.RIGHT)
+    send_raw(recorder.address, encode_frames(other.frames))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert holder["recordings"] == [other]
+
+
 def test_bind_failure_on_taken_port():
     from gripstream.ingest import BindFailure
 
@@ -504,6 +518,13 @@ def test_round_trip_both_formats(tmp_path):
         path = tmp_path / name
         save_session(original, path, format=fmt)
         assert load_session(path) == original
+
+
+def test_save_session_refuses_an_unknown_format_and_writes_nothing(tmp_path):
+    path = tmp_path / "r.bin"
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        save_session(make_recording(2), path, format="xml")
+    assert not path.exists()
 
 
 def test_round_trip_randomized_recordings(tmp_path):
@@ -632,6 +653,25 @@ def test_recording_refuses_columns_that_disagree_in_length(hands, seq, timestamp
     frames = Frames(hands, array("I", seq), array("Q", timestamps), array("H", amplitudes))
     with pytest.raises(ValueError, match="^frames columns disagree in length$"):
         SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
+    with pytest.raises(ValueError, match="^frames columns disagree in length$"):
+        validate_cadence(frames)
+
+
+@pytest.mark.parametrize("hands, seq, timestamps, amplitudes", [
+    (b"\0", [0], [0], [0] * 12),
+    (b"\0", array("I", [0]), array("Q", [0]), array("h", [-5] * 12)),
+    (b"\0", array("l", [0]), array("Q", [0]), array("H", [5] * 12)),
+    (b"\0", array("I", [0]), array("q", [0]), array("H", [5] * 12)),
+    ([0], array("I", [0]), array("Q", [0]), array("H", [5] * 12)),
+], ids=["lists", "signed-amplitudes", "long-seq", "signed-timestamps", "list-hands"])
+def test_recording_refuses_columns_of_other_types(hands, seq, timestamps, amplitudes):
+    """Else a writer stores -5 as 65531, or fails on a column it cannot copy."""
+    frames = Frames(hands, seq, timestamps, amplitudes)
+    message = "^frames must hold bytes hands and arrays of typecode I, Q and H$"
+    with pytest.raises(ValueError, match=message):
+        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
+    with pytest.raises(ValueError, match=message):
+        validate_cadence(frames)
 
 
 def test_recording_names_a_hand_code_outside_hand():

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -14,6 +15,7 @@ from gripstream.protocol import (
     GloveFrame,
     Hand,
     SensorId,
+    check_frame_fields,
     crc16,
     decode_frame,
     encode_frame,
@@ -156,14 +158,26 @@ def test_sensor_ids():
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
-        GloveFrame(Hand.LEFT, 0, 0, (0,) * 11)
-    with pytest.raises(ValueError):
-        GloveFrame(Hand.LEFT, 0, 0, (0,) * 11 + (65536,))
-    with pytest.raises(ValueError):
-        GloveFrame(Hand.LEFT, 0, 0, (-1,) + (0,) * 11)
-    with pytest.raises(ValueError):
-        GloveFrame(Hand.LEFT, 2**32, 0, (0,) * 12)
+    """GloveFrame refuses what the field rule refuses, with the rule's message."""
+    cases = [
+        ((0, 0, (0,) * 11), "expected 12 amplitudes, got 11"),
+        ((0, 0, (0,) * 11 + (65536,)), "amplitude s12 out of u16 range: 65536"),
+        ((0, 0, [-1] + [0] * 11), "amplitude s1 out of u16 range: -1"),
+        ((2**32, 0, (0,) * 12), "seq out of u32 range: 4294967296"),
+        ((-1, 0, (0,) * 12), "seq out of u32 range: -1"),
+        ((0, 2**64, (0,) * 12), "timestamp_ms out of u64 range: 18446744073709551616"),
+        ((0, -1, (0,) * 12), "timestamp_ms out of u64 range: -1"),
+    ]
+    for fields, message in cases:
+        for build in (check_frame_fields, partial(GloveFrame, Hand.LEFT)):
+            with pytest.raises(ValueError) as exc:
+                build(*fields)
+            assert str(exc.value) == message
+    top = (2**32 - 1, 2**64 - 1, [0xFFFF] * 12)
+    assert check_frame_fields(*top) == top
+    frame = GloveFrame(1, *top)  # a hand code and a list of amplitudes are converted
+    assert frame.hand is Hand.RIGHT and frame.amplitudes == (0xFFFF,) * 12
+    assert type(frame.amplitudes) is tuple
 
 
 def test_cadence_exact_spacing_is_clean():

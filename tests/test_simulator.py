@@ -203,6 +203,9 @@ def test_preset_durations_and_hand_resolution():
                            novice.handedness) == 15.42
     with pytest.raises(ValueError):
         resolve_hand(expert, "both")
+    for hand, names in [(Hand.LEFT, [Hand.LEFT, "left", "L"]),
+                        (Hand.RIGHT, [Hand.RIGHT, " Right", "r"])]:
+        assert all(resolve_hand(expert, name) is hand for name in names)
 
 
 def test_user_profile_validation():
