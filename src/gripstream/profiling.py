@@ -7,6 +7,7 @@ with either the window mean or the window peak as the statistic.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -91,6 +92,44 @@ def check_window(window_ms: int) -> int:
     return window_ms
 
 
+def _spans(times: list, window_ms: int) -> tuple:
+    """``(t0, ((index, lo, hi), ...))`` for a list of finite, non-decreasing ``times``: the
+    first timestamp and, for each window from the first to the last sample's, the slice
+    ``times[lo:hi]`` of its samples. ValueError naming the first timestamp out of order,
+    else the first that is not finite."""
+    t0 = times[0]
+    # a NaN fails every comparison, and once the times are in order only the ends can be infinite
+    if not (all(map(le, times, islice(times, 1, None))) and -inf < t0 and times[-1] < inf):
+        for last_t, t in zip(times, times[1:]):
+            if last_t > t:
+                raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
+        raise ValueError("timestamps must be finite, got "
+                         f"{next(t for t in times if not -inf < t < inf)}")
+    spans, hi = [], 0
+    for index in range(int((times[-1] - t0) // window_ms) + 1):  # a float span floors to a float
+        lo, hi = hi, bisect_left(times, t0 + (index + 1) * window_ms, hi)
+        spans.append((index, lo, hi))
+    return t0, tuple(spans)
+
+
+# ((typecode, octets, window_ms), _spans result) of the last array column profiled
+_last_column: tuple | None = None
+
+
+def _column_spans(times: array, window_ms: int) -> tuple:
+    """:func:`_spans` of an array column, reused while the column seen last has the same
+    typecode, content and ``window_ms``: every :func:`sensor_series` of a recording shares
+    its ``timestamp_ms`` column. The key is the content, not the identity, since an array
+    can change in place. An error is never kept, and the entry is one tuple assigned at
+    once, so a thread never sees one column's key beside another's spans."""
+    global _last_column
+    key = times.typecode, times.tobytes(), window_ms
+    last = _last_column
+    if last is None or last[0] != key:
+        last = _last_column = key, _spans(times.tolist(), window_ms)
+    return last[1]
+
+
 def window_profile(
     series,
     window_ms: int = DEFAULT_WINDOW_MS,
@@ -106,11 +145,16 @@ def window_profile(
     The window value is the arithmetic mean or the maximum of its samples (a mean
     past the float range is a ValueError). Windows short of the full window_ms / 20
     samples are dropped under DROP_INCOMPLETE and kept with their actual count (an
-    empty one with value NaN) under KEEP_PARTIAL.
+    empty one with value NaN) under KEEP_PARTIAL. Repeated calls on one ``array``
+    column of timestamps, such as the ``timestamp_ms`` column every :func:`sensor_series`
+    of a recording shares, reuse its order check and window bounds while its content
+    and ``window_ms`` stay the same.
     """
     # one list of the times: the pairwise check and bisect then box no timestamp twice
     if isinstance(series, Series):
-        times, values = list(series.times), series.values
+        times, values = series.times, series.values
+        if not isinstance(times, array):
+            times = list(times)
     else:
         pairs = list(series)
         times, values = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
@@ -120,18 +164,13 @@ def window_profile(
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 
-    t0 = times[0]
-    # a NaN fails every comparison, and once the times are in order only the ends can be infinite
-    if not (all(map(le, times, islice(times, 1, None))) and -inf < t0 and times[-1] < inf):
-        for last_t, t in zip(times, times[1:]):
-            if last_t > t:
-                raise ValueError(f"timestamps must be non-decreasing, got {t} after {last_t}")
-        raise ValueError("timestamps must be finite, got "
-                         f"{next(t for t in times if not -inf < t < inf)}")
+    if isinstance(times, array):
+        t0, spans = _column_spans(times, window_ms)
+    else:
+        t0, spans = _spans(times, window_ms)
     expected = window_ms // NOMINAL_INTERVAL_MS
-    windows, hi = [], 0
-    for index in range(int((times[-1] - t0) // window_ms) + 1):  # a float span floors to a float
-        lo, hi = hi, bisect_left(times, t0 + (index + 1) * window_ms, hi)
+    windows = []
+    for index, lo, hi in spans:
         count = hi - lo
         if partial_policy is PartialPolicy.DROP_INCOMPLETE and count < expected:
             continue

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, eq, gt, itemgetter, ne, sub
+from operator import attrgetter, eq, gt, index, itemgetter, ne, sub
 
 FRAME_MAGIC = 0xA5
 FRAME_VERSION = 0x01
@@ -53,6 +53,14 @@ class Hand(IntEnum):
 
 
 _HAND_BY_CODE = tuple(Hand)  # indexed by wire value, cheaper than calling Hand()
+_HAND_CODES = bytes(_HAND_BY_CODE)
+
+
+def _hands(codes: bytes):
+    """The Hand of each wire code in ``codes``; ValueError naming the first code outside Hand."""
+    if unknown := codes.translate(None, _HAND_CODES):
+        raise ValueError(f"unknown hand code {unknown[0]}")
+    return map(_HAND_BY_CODE.__getitem__, codes)
 
 
 SENSOR_LABELS = {
@@ -201,13 +209,14 @@ class Frames(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         first = i * SENSOR_COUNT
-        return _trusted_frame(_HAND_BY_CODE[self.hands[i]], self.seq[i], self.timestamp_ms[i],
+        hand, = _hands(self.hands[i:i + 1])
+        return _trusted_frame(hand, self.seq[i], self.timestamp_ms[i],
                               tuple(self.amplitudes[first:first + SENSOR_COUNT]))
 
     def __iter__(self):
         if self._built is None:
             rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
-            self._built = list(map(_trusted_frame, map(_HAND_BY_CODE.__getitem__, self.hands),
+            self._built = list(map(_trusted_frame, _hands(self.hands),
                                    self.seq, self.timestamp_ms, rows))
         return iter(self._built)
 
@@ -226,17 +235,29 @@ class Frames(Sequence):
         return f"Frames({list(self)!r})"
 
 
+_AMPLITUDE_FIELDS = tuple(f"amplitude s{k}" for k in range(1, SENSOR_COUNT + 1))
+
+
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``, else ValueError naming the field."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_frame_fields(seq: int, timestamp_ms: int, amplitudes: Sequence[int]) -> tuple:
-    """``(seq, timestamp_ms, amplitudes)`` if they fit u32, u64 and 12 x u16, else ValueError."""
-    if not 0 <= seq <= 0xFFFFFFFF:
+    """``(seq, timestamp_ms, amplitudes)`` if they are integers (what ``operator.index``
+    takes) that fit u32, u64 and 12 x u16, else ValueError naming the field."""
+    if not 0 <= _integer(seq, "seq") <= 0xFFFFFFFF:
         raise ValueError(f"seq out of u32 range: {seq}")
-    if not 0 <= timestamp_ms <= 0xFFFFFFFFFFFFFFFF:
+    if not 0 <= _integer(timestamp_ms, "timestamp_ms") <= 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"timestamp_ms out of u64 range: {timestamp_ms}")
     if len(amplitudes) != SENSOR_COUNT:
         raise ValueError(f"expected {SENSOR_COUNT} amplitudes, got {len(amplitudes)}")
-    for i, a in enumerate(amplitudes):
-        if not 0 <= a <= AMPLITUDE_MAX:
-            raise ValueError(f"amplitude s{i + 1} out of u16 range: {a}")
+    for name, a in zip(_AMPLITUDE_FIELDS, amplitudes):
+        if not 0 <= _integer(a, name) <= AMPLITUDE_MAX:
+            raise ValueError(f"{name} out of u16 range: {a}")
     return seq, timestamp_ms, amplitudes
 
 
@@ -356,7 +377,7 @@ def decode_frames(data, start: int, n: int) -> Frames:
     valid = min(
         n - len(wire[0::FRAME_SIZE].lstrip(bytes((FRAME_MAGIC,)))),
         n - len(wire[1::FRAME_SIZE].lstrip(bytes((FRAME_VERSION,)))),
-        n - len(hands.lstrip(bytes(_HAND_BY_CODE))),
+        n - len(hands.lstrip(_HAND_CODES)),
         next(compress(count(), map(ne, _crcs(wire), stored_crcs)), n),
     )
     if valid < n:

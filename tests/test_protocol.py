@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from functools import partial
 
 import pytest
@@ -167,6 +168,9 @@ def test_frame_validation():
         ((-1, 0, (0,) * 12), "seq out of u32 range: -1"),
         ((0, 2**64, (0,) * 12), "timestamp_ms out of u64 range: 18446744073709551616"),
         ((0, -1, (0,) * 12), "timestamp_ms out of u64 range: -1"),
+        ((1.0, 0, (0,) * 12), "seq must be an integer, got 1.0"),
+        ((0, 1.5, (0,) * 12), "timestamp_ms must be an integer, got 1.5"),
+        ((0, 0, (0,) * 11 + ("7",)), "amplitude s12 must be an integer, got '7'"),
     ]
     for fields, message in cases:
         for build in (check_frame_fields, partial(GloveFrame, Hand.LEFT)):
@@ -178,6 +182,16 @@ def test_frame_validation():
     frame = GloveFrame(1, *top)  # a hand code and a list of amplitudes are converted
     assert frame.hand is Hand.RIGHT and frame.amplitudes == (0xFFFF,) * 12
     assert type(frame.amplitudes) is tuple
+
+
+def test_frames_name_a_hand_code_outside_hand():
+    """Reading a frame whose hand octet no Hand has is a ValueError, not an IndexError."""
+    frames = Frames(b"\0\5", array("I", [0, 1]), array("Q", [0, 20]), array("H", [5] * 24))
+    assert frames[0].hand is Hand.LEFT
+    for read in (lambda: frames[1], lambda: frames[-1], lambda: frames[1:], lambda: list(frames),
+                 lambda: repr(frames), lambda: frames == [ZERO_FRAME, ZERO_FRAME]):
+        with pytest.raises(ValueError, match="^unknown hand code 5$"):
+            read()
 
 
 def test_cadence_exact_spacing_is_clean():

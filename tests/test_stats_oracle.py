@@ -1,5 +1,7 @@
 """The statistics layers against their per-sample loops in oracles: same repr, same errors."""
 
+import sys
+import threading
 from array import array
 from itertools import accumulate
 
@@ -158,3 +160,109 @@ def test_window_profile_errors_match_the_reference(samples, window_ms):
     got = outcome(window_profile, samples, window_ms)
     assert isinstance(got, tuple)
     assert got == outcome(window_profile_reference, samples, window_ms)
+
+
+# --- window_profile reuses the order check and bounds of the last array column -------------
+
+
+def matches_reference(series, window_ms=20, statistic="mean", policy="keep"):
+    got = outcome(window_profile, series, window_ms, statistic, policy)
+    assert got == outcome(window_profile_reference, series, window_ms, statistic, policy)
+    return got
+
+
+@pytest.mark.parametrize("column", [lambda times: array("Q", times), list], ids=["array", "list"])
+def test_a_column_changed_in_place_is_checked_again(column):
+    times = column(range(0, 200, 20))
+    series = Series(times, list(range(10)))
+    first = matches_reference(series)
+    times[-1] = 400  # same object, new last window
+    assert matches_reference(series) != first
+    times[3] = 0  # now decreasing: must raise, not reuse the bounds checked before
+    assert isinstance(matches_reference(series), tuple)
+    times[3] = 60
+    assert not isinstance(matches_reference(series), tuple)
+
+
+def test_columns_of_equal_octets_and_other_typecodes_are_told_apart():
+    """Both hold eight zero octets; start_ms is 0 from the one and 0.0 from the other."""
+    ints, doubles = Series(array("Q", [0]), [1]), Series(array("d", [0.0]), [1])
+    assert ints.times.tobytes() == doubles.times.tobytes()
+    assert "start_ms=0," in matches_reference(ints)
+    assert "start_ms=0.0," in matches_reference(doubles)
+    assert "start_ms=0," in matches_reference(ints)
+
+
+def test_one_column_under_two_windows():
+    series = Series(array("Q", range(0, 2000, 20)), list(range(100)))
+    assert matches_reference(series, 20) != matches_reference(series, 400)
+
+
+def test_a_refused_column_leaves_no_bounds_behind():
+    good = Series(array("Q", [0, 20, 40]), [1, 2, 3])
+    bad = Series(array("Q", [0, 40, 20]), [1, 2, 3])
+    matches_reference(good)
+    assert isinstance(matches_reference(bad), tuple)
+    assert isinstance(matches_reference(bad), tuple)
+    matches_reference(good)
+    bad.times[1:] = array("Q", [20, 40])
+    assert matches_reference(bad) == matches_reference(good)
+
+
+def test_threads_sharing_columns_each_get_the_right_bounds():
+    """Four threads over four columns, each in another order, switching every few
+    bytecodes: a key kept beside another column's bounds would give wrong windows."""
+    columns = [Series(array("Q", range(0, 20 * k * 50, 20 * k)), list(range(50)))
+               for k in range(1, 5)]
+    expected = [repr(window_profile_reference(c, 40, "mean", "keep")) for c in columns]
+    wrong = []
+
+    def profile(first):
+        for i in range(first, first + 400):
+            k = i % len(columns)
+            if outcome(window_profile, columns[k], 40, "mean", "keep") != expected[k]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=profile, args=(first,)) for first in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@st.composite
+def column_calls(draw):
+    """A few array columns, and calls that each may first change one timestamp in place."""
+    pool = []
+    for samples, window_ms in draw(st.lists(series(), min_size=1, max_size=3)):
+        times, values = zip(*samples)
+        pool.append((Series(array("d" if isinstance(times[0], float) else "Q", times),
+                            list(values)), window_ms))
+    calls = draw(st.lists(st.tuples(
+        st.integers(0, len(pool) - 1),
+        st.booleans(),  # the column's own window_ms, else 40
+        st.sampled_from(list(Statistic)),
+        st.sampled_from(list(PartialPolicy)),
+        st.none() | st.tuples(st.integers(0, 300), st.integers(0, 10**6 + 9000)),
+    ), min_size=1, max_size=12))
+    return pool, calls
+
+
+@settings(max_examples=100)
+@given(column_calls())
+def test_interleaved_calls_on_shared_columns_match_the_reference(drawn):
+    pool, calls = drawn
+    for which, own_window, statistic, policy, change in calls:
+        column, window_ms = pool[which]
+        if change is not None:
+            position, t = change
+            times = column.times
+            times[position % len(times)] = float(t) if times.typecode == "d" else t
+        matches_reference(column, window_ms if own_window else 40, statistic, policy)
