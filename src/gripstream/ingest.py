@@ -124,7 +124,7 @@ class FrameStreamDecoder:
         while pos + FRAME_SIZE <= len(buf):
             if self._aligned:
                 want = min(run, (len(buf) - pos) // FRAME_SIZE)
-                frames = decode_frames(buf, pos, want)
+                frames = decode_frames(buf[pos:pos + want * FRAME_SIZE])
                 parts.append(frames)
                 pos += len(frames) * FRAME_SIZE
                 if len(frames) == want:
@@ -322,7 +322,7 @@ def _from_binary(blob: bytes) -> SessionRecording:
         raise MalformedFile(f"unknown hand code {hand_code}", offset=pos + 1)
     pos += _HEADER_FIXED.size
     whole = min(count, (len(blob) - pos) // FRAME_SIZE)
-    frames = decode_frames(blob, pos, whole)
+    frames = decode_frames(blob[pos:pos + whole * FRAME_SIZE])
     if len(frames) < whole:
         bad = pos + len(frames) * FRAME_SIZE
         try:

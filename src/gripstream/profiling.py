@@ -116,12 +116,15 @@ def _spans(times: list, window_ms: int) -> tuple:
 _last_column: tuple | None = None
 
 
-def _column_spans(times: array, window_ms: int) -> tuple:
-    """:func:`_spans` of an array column, reused while the column seen last has the same
-    typecode, content and ``window_ms``: every :func:`sensor_series` of a recording shares
-    its ``timestamp_ms`` column. The key is the content, not the identity, since an array
-    can change in place. An error is never kept, and the entry is one tuple assigned at
-    once, so a thread never sees one column's key beside another's spans."""
+def _column_spans(times, window_ms: int) -> tuple:
+    """:func:`_spans` of a timestamp column, an array's reused while the column seen last has
+    the same typecode, content and ``window_ms``: every :func:`sensor_series` of a recording
+    shares its ``timestamp_ms`` column. The key is the content, not the identity, since an
+    array can change in place. An error is never kept, and the entry is one tuple assigned
+    at once, so a thread never sees one column's key beside another's spans."""
+    if not isinstance(times, array):
+        # one list of the times: the pairwise check and bisect then box no timestamp twice
+        return _spans(list(times), window_ms)
     global _last_column
     key = times.typecode, times.tobytes(), window_ms
     last = _last_column
@@ -150,24 +153,16 @@ def window_profile(
     of a recording shares, reuse its order check and window bounds while its content
     and ``window_ms`` stay the same.
     """
-    # one list of the times: the pairwise check and bisect then box no timestamp twice
-    if isinstance(series, Series):
-        times, values = series.times, series.values
-        if not isinstance(times, array):
-            times = list(times)
-    else:
+    if not isinstance(series, Series):
         pairs = list(series)
-        times, values = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
-    if not times:
+        series = Series(list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+    if not series:
         raise ValueError("cannot profile an empty series")
     check_window(window_ms)
     statistic = Statistic(statistic)
     partial_policy = PartialPolicy(partial_policy)
 
-    if isinstance(times, array):
-        t0, spans = _column_spans(times, window_ms)
-    else:
-        t0, spans = _spans(times, window_ms)
+    t0, spans = _column_spans(series.times, window_ms)
     expected = window_ms // NOMINAL_INTERVAL_MS
     windows = []
     for index, lo, hi in spans:
@@ -175,7 +170,7 @@ def window_profile(
         if partial_policy is PartialPolicy.DROP_INCOMPLETE and count < expected:
             continue
         if count:
-            window = values[lo:hi]
+            window = series.values[lo:hi]
             try:
                 value = max(window) if statistic is Statistic.PEAK else sum(window) / count
             except OverflowError:  # an int mean past the float range

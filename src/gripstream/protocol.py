@@ -101,8 +101,8 @@ SENSORS = tuple(SensorId.of(i) for i in range(1, SENSOR_COUNT + 1))
 class FrameError(ValueError):
     """A byte buffer that cannot be decoded as a glove frame.
 
-    The message names the cause; ``offset`` is the byte at fault: 0 magic,
-    1 version, 2 hand, 39 CRC, or the length of a buffer that is not 41 octets.
+    The message names the cause; ``offset`` is the byte at fault: 0 magic, 1 version, 2 hand,
+    39 CRC, or the length of a buffer that is not 41 octets (:func:`decode_frames`: whole frames).
     """
 
     def __init__(self, message: str, offset: int):
@@ -149,7 +149,7 @@ class Frames(Sequence):
     of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
     The constructor takes the columns as given; :meth:`of` is the one conversion into
     columns and the one check of their types and lengths. The first iteration builds
-    every GloveFrame and keeps them, so iterating again does not build them again.
+    every GloveFrame and keeps them; iterating again over unchanged columns reuses them.
     Frames compare equal to Frames with equal columns and to any sequence
     of equal GloveFrames.
     """
@@ -214,11 +214,13 @@ class Frames(Sequence):
                               tuple(self.amplitudes[first:first + SENSOR_COUNT]))
 
     def __iter__(self):
-        if self._built is None:
+        # kept by column content, not identity: the columns are public and change in place
+        key = self.hands, *(c.tobytes() for c in (self.seq, self.timestamp_ms, self.amplitudes))
+        if self._built is None or self._built[0] != key:
             rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
-            self._built = list(map(_trusted_frame, _hands(self.hands),
-                                   self.seq, self.timestamp_ms, rows))
-        return iter(self._built)
+            self._built = key, list(map(_trusted_frame, _hands(self.hands),
+                                        self.seq, self.timestamp_ms, rows))
+        return iter(self._built[1])
 
     def __eq__(self, other):
         if isinstance(other, Frames):
@@ -352,6 +354,7 @@ def _crcs(wire) -> array:
 
 def encode_frames(frames: Frames) -> bytearray:
     """The wire form of every frame, back to back: :func:`encode_frame` of each, at once."""
+    frames = Frames.of(frames)
     n = len(frames)
     wire = bytearray(n * FRAME_SIZE)
     wire[0::FRAME_SIZE] = bytes((FRAME_MAGIC,)) * n
@@ -364,14 +367,16 @@ def encode_frames(frames: Frames) -> bytearray:
     return wire
 
 
-def decode_frames(data, start: int, n: int) -> Frames:
-    """Decode the ``n`` back-to-back frames at ``data[start:]`` up to the first that fails.
+def decode_frames(wire) -> Frames:
+    """Decode ``wire``, back-to-back whole frames, up to the first frame that fails.
 
-    The result holds the frames before the first one that
-    :func:`decode_frame` rejects for its magic, CRC, version or hand octet:
-    ``len(result) < n`` means that frame ``len(result)`` is such a frame.
+    The result holds the frames before the first one that :func:`decode_frame` rejects for
+    its magic, CRC, version or hand octet: ``len(result) < len(wire) // 41`` means that frame
+    ``len(result)`` is such a frame. A wire not whole frames is a FrameError at its length.
     """
-    wire = data[start:start + n * FRAME_SIZE]
+    n, rest = divmod(len(wire), FRAME_SIZE)
+    if rest:
+        raise FrameError(f"wire must be whole frames, got {len(wire)} octets", len(wire))
     hands = bytes(wire[2::FRAME_SIZE])
     stored_crcs = _from_wire("H", _gather(wire, _CRC_LANES))
     valid = min(

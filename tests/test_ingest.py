@@ -175,9 +175,9 @@ def test_resync_runs_stay_short_on_a_stream_dense_with_damage(monkeypatch):
         payload[i * FRAME_SIZE + FRAME_SIZE - 1] ^= 0xFF  # the stored CRC of every even frame
     requested = []
 
-    def counted(data, start, n):
-        requested.append(n)
-        return decode_frames(data, start, n)
+    def counted(wire):
+        requested.append(len(wire) // FRAME_SIZE)
+        return decode_frames(wire)
 
     monkeypatch.setattr(ingest, "decode_frames", counted)
     frames = FrameStreamDecoder().feed(bytes(payload))

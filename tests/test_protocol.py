@@ -19,7 +19,9 @@ from gripstream.protocol import (
     check_frame_fields,
     crc16,
     decode_frame,
+    decode_frames,
     encode_frame,
+    encode_frames,
     validate_cadence,
 )
 from oracles import crc16_bitwise
@@ -102,6 +104,13 @@ def test_only_41_octet_buffers_decode():
             with pytest.raises(FrameError, match=f"^frame must be 41 octets, got {length} ") as exc:
                 decode_frame(buf)
             assert exc.value.offset == length
+    wire = encode_frame(frame_at(40, 2, amps=range(12))) * 5
+    assert decode_frames(wire) == [frame_at(40, 2, amps=range(12))] * 5
+    assert decode_frames(b"") == Frames.of([])
+    for bad in (wire[:-5], wire + b"\0", wire[:1]):  # decode_frames takes only whole frames
+        with pytest.raises(FrameError, match=f"^wire must be whole frames, got {len(bad)} ") as exc:
+            decode_frames(bad)
+        assert exc.value.offset == len(bad)
 
 
 def test_bad_magic_offset():
@@ -192,6 +201,24 @@ def test_frames_name_a_hand_code_outside_hand():
                  lambda: repr(frames), lambda: frames == [ZERO_FRAME, ZERO_FRAME]):
         with pytest.raises(ValueError, match="^unknown hand code 5$"):
             read()
+
+
+def test_frames_iterate_the_columns_they_hold_now():
+    """Iterating again after an in-place column change reads the new content, as indexing does."""
+    frames = Frames.of([frame_at(i * 20, i, amps=(i,) * 12) for i in range(3)])
+    assert list(frames)[0].amplitudes[0] == 0
+    frames.amplitudes[0] = 7
+    frames.timestamp_ms[2] = 50
+    assert list(frames)[0].amplitudes[0] == 7 and list(frames)[2].timestamp_ms == 50
+    assert frames == [frames[i] for i in range(len(frames))]
+
+
+def test_encode_frames_checks_its_columns_like_frames_of():
+    """Columns that are not the arrays Frames states are the ValueError Frames.of raises."""
+    with pytest.raises(ValueError, match="^frames must hold bytes hands and arrays of typecode"):
+        encode_frames(Frames(b"\0", [0], [0], [0] * 12))
+    frames = [frame_at(0, 0), frame_at(20, 1, Hand.RIGHT)]
+    assert encode_frames(frames) == b"".join(map(encode_frame, frames))
 
 
 def test_cadence_exact_spacing_is_clean():

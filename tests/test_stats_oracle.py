@@ -84,6 +84,8 @@ def test_window_profile_matches_the_per_sample_loop(drawn, statistic, policy):
     expected = outcome(window_profile_reference, samples, window_ms, statistic, policy)
     assert outcome(window_profile, samples, window_ms, statistic, policy) == expected
     times, values = zip(*samples)
+    columns = Series(list(times), list(values))
+    assert outcome(window_profile, columns, window_ms, statistic, policy) == expected
     if all(isinstance(v, int) for v in (*times, *values)):  # the columns sensor_series hands over
         columns = Series(array("Q", times), array("H", values))
         assert outcome(window_profile, columns, window_ms, statistic, policy) == expected
