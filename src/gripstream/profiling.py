@@ -56,11 +56,14 @@ class GripForceProfile:
 
 
 class Series(Sequence):
-    """Read-only (timestamp_ms, value) pairs as two columns: item i is (times[i], values[i])."""
+    """Read-only (timestamp_ms, value) pairs as two columns of equal length (else ValueError):
+    item i is (times[i], values[i]). A column changed afterwards is not checked again."""
 
     __slots__ = ("times", "values")
 
     def __init__(self, times, values):
+        if len(times) != len(values):
+            raise ValueError(f"series columns disagree in length: {len(times)} and {len(values)}")
         self.times = times
         self.values = values
 

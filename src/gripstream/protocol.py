@@ -56,13 +56,6 @@ _HAND_BY_CODE = tuple(Hand)  # indexed by wire value, cheaper than calling Hand(
 _HAND_CODES = bytes(_HAND_BY_CODE)
 
 
-def _hands(codes: bytes):
-    """The Hand of each wire code in ``codes``; ValueError naming the first code outside Hand."""
-    if unknown := codes.translate(None, _HAND_CODES):
-        raise ValueError(f"unknown hand code {unknown[0]}")
-    return map(_HAND_BY_CODE.__getitem__, codes)
-
-
 SENSOR_LABELS = {
     1: "distal phalanx, thumb",
     2: "distal phalanx, index finger",
@@ -147,8 +140,8 @@ class Frames(Sequence):
     ``hands`` is ``bytes``, one hand code octet per frame, ``seq`` an ``array('I')``,
     ``timestamp_ms`` an ``array('Q')`` and ``amplitudes`` an ``array('H')``
     of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
-    The constructor takes the columns as given; :meth:`of` is the one conversion into
-    columns and the one check of their types and lengths. The first iteration builds
+    The constructor is the one check of the columns' types and lengths and of each hand code
+    (ValueError); a column changed afterwards is not checked again. The first iteration builds
     every GloveFrame and keeps them; iterating again over unchanged columns reuses them.
     Frames compare equal to Frames with equal columns and to any sequence
     of equal GloveFrames.
@@ -157,6 +150,15 @@ class Frames(Sequence):
     __slots__ = ("hands", "seq", "timestamp_ms", "amplitudes", "_built")
 
     def __init__(self, hands: bytes, seq: array, timestamp_ms: array, amplitudes: array):
+        if not (isinstance(hands, bytes) and isinstance(seq, array) and seq.typecode == "I"
+                and isinstance(timestamp_ms, array) and timestamp_ms.typecode == "Q"
+                and isinstance(amplitudes, array) and amplitudes.typecode == "H"):
+            raise ValueError("frames must hold bytes hands and arrays of typecode I, Q and H")
+        if not (len(hands) == len(seq) == len(timestamp_ms)
+                and len(amplitudes) == SENSOR_COUNT * len(seq)):
+            raise ValueError("frames columns disagree in length")
+        if unknown := hands.translate(None, _HAND_CODES):
+            raise ValueError(f"unknown hand code {unknown[0]}")
         self.hands = hands
         self.seq = seq
         self.timestamp_ms = timestamp_ms
@@ -165,16 +167,9 @@ class Frames(Sequence):
 
     @classmethod
     def of(cls, frames) -> "Frames":
-        """``frames`` itself if a Frames whose columns have the types and lengths the class
-        states, else the columns of an iterable of GloveFrame; ValueError for anything else."""
+        """``frames`` itself if a Frames, else the columns of an iterable of GloveFrame;
+        ValueError for anything else."""
         if isinstance(frames, Frames):
-            columns = frames.seq, frames.timestamp_ms, frames.amplitudes
-            if not (isinstance(frames.hands, bytes) and all(
-                    isinstance(c, array) and c.typecode == t for c, t in zip(columns, "IQH"))):
-                raise ValueError("frames must hold bytes hands and arrays of typecode I, Q and H")
-            if not (len(frames.hands) == len(frames.timestamp_ms) == len(frames)
-                    and len(frames.amplitudes) == SENSOR_COUNT * len(frames)):
-                raise ValueError("frames columns disagree in length")
             return frames
         try:
             frames = list(frames)
@@ -209,8 +204,7 @@ class Frames(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         first = i * SENSOR_COUNT
-        hand, = _hands(self.hands[i:i + 1])
-        return _trusted_frame(hand, self.seq[i], self.timestamp_ms[i],
+        return _trusted_frame(_HAND_BY_CODE[self.hands[i]], self.seq[i], self.timestamp_ms[i],
                               tuple(self.amplitudes[first:first + SENSOR_COUNT]))
 
     def __iter__(self):
@@ -218,7 +212,7 @@ class Frames(Sequence):
         key = self.hands, *(c.tobytes() for c in (self.seq, self.timestamp_ms, self.amplitudes))
         if self._built is None or self._built[0] != key:
             rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
-            self._built = key, list(map(_trusted_frame, _hands(self.hands),
+            self._built = key, list(map(_trusted_frame, map(_HAND_BY_CODE.__getitem__, self.hands),
                                         self.seq, self.timestamp_ms, rows))
         return iter(self._built[1])
 
@@ -368,7 +362,7 @@ def encode_frames(frames: Frames) -> bytearray:
 
 
 def decode_frames(wire) -> Frames:
-    """Decode ``wire``, back-to-back whole frames, up to the first frame that fails.
+    """Decode ``wire``, any buffer of back-to-back whole frames, up to the first that fails.
 
     The result holds the frames before the first one that :func:`decode_frame` rejects for
     its magic, CRC, version or hand octet: ``len(result) < len(wire) // 41`` means that frame
@@ -380,8 +374,8 @@ def decode_frames(wire) -> Frames:
     hands = bytes(wire[2::FRAME_SIZE])
     stored_crcs = _from_wire("H", _gather(wire, _CRC_LANES))
     valid = min(
-        n - len(wire[0::FRAME_SIZE].lstrip(bytes((FRAME_MAGIC,)))),
-        n - len(wire[1::FRAME_SIZE].lstrip(bytes((FRAME_VERSION,)))),
+        n - len(bytes(wire[0::FRAME_SIZE]).lstrip(bytes((FRAME_MAGIC,)))),
+        n - len(bytes(wire[1::FRAME_SIZE]).lstrip(bytes((FRAME_VERSION,)))),
         n - len(hands.lstrip(_HAND_CODES)),
         next(compress(count(), map(ne, _crcs(wire), stored_crcs)), n),
     )

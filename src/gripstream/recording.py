@@ -104,8 +104,7 @@ class SessionRecording:
         if index < len(frames):
             seq, code = frames.seq[index], frames.hands[index]
             if code != self.hand:
-                name = Hand(code).name if code < len(Hand) else f"code {code}"
-                raise MisplacedFrame(f"frame seq={seq} has hand {name}", index)
+                raise MisplacedFrame(f"frame seq={seq} has hand {Hand(code).name}", index)
             raise MisplacedFrame(f"frames not sorted by seq at seq={seq}", index)
 
     def __len__(self) -> int:

@@ -649,12 +649,10 @@ def test_recording_refuses_what_is_not_glove_frames(frames, message):
     (b"\0\0", [0, 1], [0, 20], [5] * 25),
 ], ids=["amplitudes", "hands", "timestamps", "amplitudes-long"])
 def test_recording_refuses_columns_that_disagree_in_length(hands, seq, timestamps, amplitudes):
-    """Else the length, the frames read and the rows written would each say another thing."""
-    frames = Frames(hands, array("I", seq), array("Q", timestamps), array("H", amplitudes))
+    """Else the length, the frames read and the rows written would each say another thing.
+    Frames refuses them where they are made, so no recording or reader ever sees them."""
     with pytest.raises(ValueError, match="^frames columns disagree in length$"):
-        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
-    with pytest.raises(ValueError, match="^frames columns disagree in length$"):
-        validate_cadence(frames)
+        Frames(hands, array("I", seq), array("Q", timestamps), array("H", amplitudes))
 
 
 @pytest.mark.parametrize("hands, seq, timestamps, amplitudes", [
@@ -666,19 +664,15 @@ def test_recording_refuses_columns_that_disagree_in_length(hands, seq, timestamp
 ], ids=["lists", "signed-amplitudes", "long-seq", "signed-timestamps", "list-hands"])
 def test_recording_refuses_columns_of_other_types(hands, seq, timestamps, amplitudes):
     """Else a writer stores -5 as 65531, or fails on a column it cannot copy."""
-    frames = Frames(hands, seq, timestamps, amplitudes)
     message = "^frames must hold bytes hands and arrays of typecode I, Q and H$"
     with pytest.raises(ValueError, match=message):
-        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
-    with pytest.raises(ValueError, match=message):
-        validate_cadence(frames)
+        Frames(hands, seq, timestamps, amplitudes)
 
 
 def test_recording_names_a_hand_code_outside_hand():
-    frames = Frames(b"\0\5", array("I", [0, 1]), array("Q", [0, 20]), array("H", [5] * 24))
-    with pytest.raises(MisplacedFrame, match="^frame seq=1 has hand code 5$") as exc:
-        SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, frames)
-    assert exc.value.index == 1
+    """Such a code is refused when the columns are made, before any recording holds them."""
+    with pytest.raises(ValueError, match="^unknown hand code 5$"):
+        Frames(b"\0\5", array("I", [0, 1]), array("Q", [0, 20]), array("H", [5] * 24))
 
 
 def test_recording_refusal_builds_no_frame_object(monkeypatch):
@@ -1189,3 +1183,74 @@ def test_decoder_agrees_with_the_window_by_window_reference(case):
     whole = FrameStreamDecoder()
     assert whole.feed(payload) == Frames.concat(parts)
     assert (whole.errors, whole.pending) == (decoder.errors, decoder.pending)
+
+
+# what run() may take past its deadline: closing each connection, then placed and
+# SessionRecording for each peer's few hundred frames, a few ms here
+CLOSE_MARGIN_S = 0.5
+
+
+@st.composite
+def peer_streams(draw):
+    """2-3 peers' damaged streams, a seed for chunking and interleaving, and the peer that
+    goes silent (None if none does) with the number of its octets it sends first."""
+    payloads = [payload for payload, _, _ in draw(st.lists(chunked_streams(), min_size=2,
+                                                          max_size=3))]
+    silent = draw(st.none() | st.integers(0, len(payloads) - 1))
+    cut = None if silent is None else draw(st.integers(0, len(payloads[silent])))
+    return payloads, draw(st.integers(0, 2**32 - 1)), silent, cut
+
+
+def recorded_alone(payload: bytes):
+    """What one peer's bytes make on their own: (recording, errors, dropped), else None."""
+    decoder = FrameStreamDecoder()
+    if not (frames := decoder.feed(payload)):
+        return None
+    kept = placed(frames, hand := Hand(frames.hands[0]))
+    return (SessionRecording("u1", Expertise.NOVICE, 1, hand, kept), decoder.errors,
+            len(frames) - len(kept))
+
+
+THREE_GLOVES = [bytes(encode_frames(make_recording(20, hand).frames))
+                for hand in (Hand.LEFT, Hand.RIGHT, Hand.LEFT)]
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(peer_streams())
+@example((THREE_GLOVES, 1, 1, 5 * FRAME_SIZE + 20))  # the middle peer stops mid-frame
+@example((THREE_GLOVES, 2, 2, 0))  # the last peer connects and sends nothing
+def test_each_peer_gets_the_recording_of_its_own_bytes(case):
+    payloads, seed, silent, cut = case
+    sent = [payload if i != silent else payload[:cut] for i, payload in enumerate(payloads)]
+    timeout = 10.0 if silent is None else 0.4  # a silent peer holds run() to its deadline
+    recorder = SessionRecorder("127.0.0.1", 0, user_id="u1", expertise=Expertise.NOVICE,
+                               session_index=1, connections=len(payloads), timeout=timeout)
+    socks = []
+
+    def sender():  # one thread sends every peer's chunks, interleaved at random
+        rng = random.Random(seed)
+        socks.extend(socket.create_connection(recorder.address, timeout=5) for _ in sent)
+        rest = list(sent)
+        while sending := [i for i, data in enumerate(rest) if data]:
+            i = rng.choice(sending)
+            step = rng.randrange(1, 97)
+            socks[i].sendall(rest[i][:step])
+            rest[i] = rest[i][step:]
+            if not rest[i] and i != silent:  # the silent peer stays open, sending nothing more
+                socks[i].close()
+
+    thread = threading.Thread(target=sender, daemon=True)
+    start = time.monotonic()
+    thread.start()
+    try:
+        recordings = recorder.run()
+        elapsed = time.monotonic() - start
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    finally:
+        for sock in socks:
+            sock.close()
+    assert elapsed < timeout + CLOSE_MARGIN_S
+    # accept order is connect order, and a peer whose bytes hold no frame makes no recording
+    expected = [alone for alone in map(recorded_alone, sent) if alone]
+    assert [(r, r.decode_errors, r.dropped_frames) for r in recordings] == expected

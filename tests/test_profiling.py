@@ -8,6 +8,7 @@ import pytest
 
 from gripstream.profiling import (
     PartialPolicy,
+    Series,
     Statistic,
     profile_csv,
     profile_export,
@@ -91,6 +92,19 @@ def test_series_empty_recording():
     """The recording refuses no frames, so sensor_series never sees an empty one."""
     with pytest.raises(ValueError, match="^a recording holds at least one frame$"):
         sensor_series(SessionRecording("u", Expertise.NOVICE, 1, Hand.LEFT, []), 7)
+
+
+@pytest.mark.parametrize("times, values", [
+    (list(range(0, 4000, 20)), [10] * 150),
+    (array("Q", [0, 20]), array("H", [1, 2, 3])),
+    ([], [1]),
+], ids=["short-values", "long-values", "no-times"])
+def test_series_refuses_columns_of_unequal_length(times, values):
+    """Else len() and iteration disagree, and a window past the shorter column is profiled
+    from fewer values than it counts."""
+    with pytest.raises(ValueError, match="^series columns disagree in length: "
+                                         f"{len(times)} and {len(values)}$"):
+        Series(times, values)
 
 
 # --- windowing ---------------------------------------------------------------

@@ -12,9 +12,17 @@ files another run left. An even seed runs the base first, an odd seed the change
 
 It prints every run, then, for each end-to-end metric in ``BENCHMARK.json``, both medians,
 the base's quartiles (``statistics.quantiles``, exclusive method), how many pairs the change
-won (the direction is the metric's ``better``; a tie counts for neither side) and whether
-the change's median is within the metric's bound of the base's. The exit status is 1 if
-any run failed, reported ``correct: false`` or printed no result, else 0. Stdlib only.
+won (the direction is the metric's ``better``; a tie counts for neither side) and a verdict:
+
+- ``OUTSIDE`` when the change's median is worse than the base's by more than the bound;
+- else ``unresolved`` when the base's IQR, as a share of its median, is wider than the bound
+  and some change run does not beat every base run: the runs spread too widely to call the
+  metric unchanged;
+- else ``within``.
+
+A last line names the metrics of each verdict. The exit status is 1 if any run failed,
+reported ``correct: false`` or printed no result, else 2 if any metric is ``OUTSIDE``,
+else 0. Stdlib only.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -108,20 +117,31 @@ def main(argv: list[str] | None = None) -> int:
         print("fewer than two complete pairs: no summary")
         return 1
     print(f"\n{args.workload}: {len(pairs)} pairs, base {args.base} against the working tree")
+    verdicts = {"within": [], "unresolved": [], "OUTSIDE": []}
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         q1, _, q3 = statistics.quantiles(base, n=4)
         base_med, change_med = statistics.median(base), statistics.median(change)
-        limit = base_med * (1 + metric["bound"] if lower else 1 - metric["bound"])
-        within = change_med <= limit if lower else change_med >= limit
+        limit = base_med * (1 + bound if lower else 1 - bound)
+        spread = (q3 - q1) / abs(base_med) if base_med else math.inf
+        beats_all = max(change) < min(base) if lower else min(change) > max(base)
+        if not (change_med <= limit if lower else change_med >= limit):
+            verdict = "OUTSIDE"
+        elif spread > bound and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
+        verdicts[verdict].append(name)
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
-              f"median {base_med:.6g} -> {change_med:.6g}, base IQR {q1:.6g}-{q3:.6g}, "
-              f"change won {won} of {len(pairs)}, "
-              f"{'within' if within else 'OUTSIDE'} bound {metric['bound']:g}")
-    return 0 if ok else 1
+              f"median {base_med:.6g} -> {change_med:.6g}, base IQR {q1:.6g}-{q3:.6g} "
+              f"({spread:.1%} of median), change won {won} of {len(pairs)}, "
+              f"{verdict} bound {bound:g}")
+    print("verdict: " + "; ".join(f"{verdict} {', '.join(names)}"
+                                  for verdict, names in verdicts.items() if names))
+    return 1 if not ok else 2 if verdicts["OUTSIDE"] else 0
 
 
 if __name__ == "__main__":
