@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
@@ -56,12 +56,15 @@ class GripForceProfile:
 
 
 class Series(Sequence):
-    """Read-only (timestamp_ms, value) pairs as two columns of equal length (else ValueError):
+    """Read-only (timestamp_ms, value) pairs as two sized columns of equal length (else ValueError):
     item i is (times[i], values[i]). A column changed afterwards is not checked again."""
 
     __slots__ = ("times", "values")
 
     def __init__(self, times, values):
+        for column in times, values:
+            if not isinstance(column, Sized):
+                raise ValueError(f"series columns must have a length, got {type(column).__name__}")
         if len(times) != len(values):
             raise ValueError(f"series columns disagree in length: {len(times)} and {len(values)}")
         self.times = times

@@ -123,31 +123,33 @@ class GloveFrame:
         check_frame_fields(self.seq, self.timestamp_ms, self.amplitudes)
 
 
+_SET_HAND, _SET_SEQ, _SET_TIMESTAMP, _SET_AMPLITUDES = (
+    GloveFrame.__dict__[name].__set__ for name in ("hand", "seq", "timestamp_ms", "amplitudes"))
+
+
 def _trusted_frame(hand: Hand, seq: int, timestamp_ms: int, amplitudes: tuple) -> GloveFrame:
-    """A GloveFrame without ``__post_init__``'s checks, for fields valid by construction:
-    those ``decode_frame`` unpacks with ``struct``, and those read from ``Frames``' columns."""
+    """A GloveFrame filled through its slot descriptors, without ``__post_init__``'s checks, for
+    fields valid by construction: those ``decode_frame`` unpacks and ``Frames``' columns hold."""
     frame = object.__new__(GloveFrame)
-    object.__setattr__(frame, "hand", hand)
-    object.__setattr__(frame, "seq", seq)
-    object.__setattr__(frame, "timestamp_ms", timestamp_ms)
-    object.__setattr__(frame, "amplitudes", amplitudes)
+    _SET_HAND(frame, hand)
+    _SET_SEQ(frame, seq)
+    _SET_TIMESTAMP(frame, timestamp_ms)
+    _SET_AMPLITUDES(frame, amplitudes)
     return frame
 
 
 class Frames(Sequence):
-    """Frames stored as parallel columns; reading an item builds its GloveFrame.
+    """Frames stored as parallel columns; each read builds its GloveFrame anew and keeps none.
 
     ``hands`` is ``bytes``, one hand code octet per frame, ``seq`` an ``array('I')``,
     ``timestamp_ms`` an ``array('Q')`` and ``amplitudes`` an ``array('H')``
     of 12 per frame, row-major: sensor k of frame i at ``12 * i + k - 1``.
     The constructor is the one check of the columns' types and lengths and of each hand code
-    (ValueError); a column changed afterwards is not checked again. The first iteration builds
-    every GloveFrame and keeps them; iterating again over unchanged columns reuses them.
-    Frames compare equal to Frames with equal columns and to any sequence
-    of equal GloveFrames.
+    (ValueError); a column changed afterwards is not checked again. Frames compare equal to
+    Frames with equal columns and to any sequence of equal GloveFrames.
     """
 
-    __slots__ = ("hands", "seq", "timestamp_ms", "amplitudes", "_built")
+    __slots__ = ("hands", "seq", "timestamp_ms", "amplitudes")
 
     def __init__(self, hands: bytes, seq: array, timestamp_ms: array, amplitudes: array):
         if not (isinstance(hands, bytes) and isinstance(seq, array) and seq.typecode == "I"
@@ -163,7 +165,6 @@ class Frames(Sequence):
         self.seq = seq
         self.timestamp_ms = timestamp_ms
         self.amplitudes = amplitudes
-        self._built = None
 
     @classmethod
     def of(cls, frames) -> "Frames":
@@ -208,13 +209,9 @@ class Frames(Sequence):
                               tuple(self.amplitudes[first:first + SENSOR_COUNT]))
 
     def __iter__(self):
-        # kept by column content, not identity: the columns are public and change in place
-        key = self.hands, *(c.tobytes() for c in (self.seq, self.timestamp_ms, self.amplitudes))
-        if self._built is None or self._built[0] != key:
-            rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
-            self._built = key, list(map(_trusted_frame, map(_HAND_BY_CODE.__getitem__, self.hands),
-                                        self.seq, self.timestamp_ms, rows))
-        return iter(self._built[1])
+        rows = zip(*[iter(self.amplitudes)] * SENSOR_COUNT)
+        return map(_trusted_frame, map(_HAND_BY_CODE.__getitem__, self.hands),
+                   self.seq, self.timestamp_ms, rows)
 
     def __eq__(self, other):
         if isinstance(other, Frames):

@@ -1192,13 +1192,16 @@ CLOSE_MARGIN_S = 0.5
 
 @st.composite
 def peer_streams(draw):
-    """2-3 peers' damaged streams, a seed for chunking and interleaving, and the peer that
-    goes silent (None if none does) with the number of its octets it sends first."""
+    """2-4 peers' damaged streams, a seed for chunking and interleaving, the peer that goes
+    silent and the peer that resets (None if none does; never the same peer), and the number
+    of octets each of those two sends first."""
     payloads = [payload for payload, _, _ in draw(st.lists(chunked_streams(), min_size=2,
-                                                          max_size=3))]
-    silent = draw(st.none() | st.integers(0, len(payloads) - 1))
-    cut = None if silent is None else draw(st.integers(0, len(payloads[silent])))
-    return payloads, draw(st.integers(0, 2**32 - 1)), silent, cut
+                                                          max_size=4))]
+    peers = range(len(payloads))
+    silent = draw(st.none() | st.sampled_from(peers))
+    reset = draw(st.none() | st.sampled_from([i for i in peers if i != silent]))
+    cuts = {i: draw(st.integers(0, len(payloads[i]))) for i in (silent, reset) if i is not None}
+    return payloads, draw(st.integers(0, 2**32 - 1)), silent, reset, cuts
 
 
 def recorded_alone(payload: bytes):
@@ -1217,11 +1220,12 @@ THREE_GLOVES = [bytes(encode_frames(make_recording(20, hand).frames))
 
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(peer_streams())
-@example((THREE_GLOVES, 1, 1, 5 * FRAME_SIZE + 20))  # the middle peer stops mid-frame
-@example((THREE_GLOVES, 2, 2, 0))  # the last peer connects and sends nothing
+@example((THREE_GLOVES, 1, 1, None, {1: 5 * FRAME_SIZE + 20}))  # the middle peer stops mid-frame
+@example((THREE_GLOVES, 2, 2, None, {2: 0}))  # the last peer connects and sends nothing
+@example((THREE_GLOVES, 3, None, 0, {0: 12 * FRAME_SIZE + 7}))  # the first peer resets
 def test_each_peer_gets_the_recording_of_its_own_bytes(case):
-    payloads, seed, silent, cut = case
-    sent = [payload if i != silent else payload[:cut] for i, payload in enumerate(payloads)]
+    payloads, seed, silent, reset, cuts = case
+    sent = [payload[:cuts[i]] if i in cuts else payload for i, payload in enumerate(payloads)]
     timeout = 10.0 if silent is None else 0.4  # a silent peer holds run() to its deadline
     recorder = SessionRecorder("127.0.0.1", 0, user_id="u1", expertise=Expertise.NOVICE,
                                session_index=1, connections=len(payloads), timeout=timeout)
@@ -1231,13 +1235,19 @@ def test_each_peer_gets_the_recording_of_its_own_bytes(case):
         rng = random.Random(seed)
         socks.extend(socket.create_connection(recorder.address, timeout=5) for _ in sent)
         rest = list(sent)
-        while sending := [i for i, data in enumerate(rest) if data]:
+        while sending := [i for i, data in enumerate(rest) if data is not None]:
             i = rng.choice(sending)
+            if not rest[i]:  # done: the silent peer stays open, the resetting one sends a RST
+                rest[i] = None
+                if i == reset:
+                    socks[i].setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        struct.pack("ii", 1, 0))
+                if i != silent:
+                    socks[i].close()
+                continue
             step = rng.randrange(1, 97)
             socks[i].sendall(rest[i][:step])
             rest[i] = rest[i][step:]
-            if not rest[i] and i != silent:  # the silent peer stays open, sending nothing more
-                socks[i].close()
 
     thread = threading.Thread(target=sender, daemon=True)
     start = time.monotonic()
@@ -1252,5 +1262,13 @@ def test_each_peer_gets_the_recording_of_its_own_bytes(case):
             sock.close()
     assert elapsed < timeout + CLOSE_MARGIN_S
     # accept order is connect order, and a peer whose bytes hold no frame makes no recording
-    expected = [alone for alone in map(recorded_alone, sent) if alone]
-    assert [(r, r.decode_errors, r.dropped_frames) for r in recordings] == expected
+    alone = list(map(recorded_alone, sent))
+    others = [a for i, a in enumerate(alone) if a and i != reset]
+    if len(recordings) > len(others):
+        # the reset discards what the receiver had not read: the recording is a leading run
+        # of its bytes' own, since decoding and placed both work prefix by prefix
+        at = sum(1 for a in alone[:reset] if a)
+        got, (want, _, _) = recordings.pop(at), alone[reset]
+        assert got.hand == want.hand and 0 < len(got.frames) <= len(want.frames)
+        assert got.frames == want.frames[:len(got.frames)]
+    assert [(r, r.decode_errors, r.dropped_frames) for r in recordings] == others

@@ -107,6 +107,17 @@ def test_series_refuses_columns_of_unequal_length(times, values):
         Series(times, values)
 
 
+@pytest.mark.parametrize("times, values, kind", [
+    (iter([0]), iter([1]), "list_iterator"),
+    (5, [1], "int"),
+    ([0], (v for v in [1]), "generator"),
+])
+def test_series_refuses_a_column_without_a_length(times, values, kind):
+    """A column len() cannot measure is the package's ValueError, not len()'s TypeError."""
+    with pytest.raises(ValueError, match=f"^series columns must have a length, got {kind}$"):
+        Series(times, values)
+
+
 # --- windowing ---------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 import math
 import random
+import struct
+import tracemalloc
 from array import array
 from functools import partial
 
 import pytest
 
+from gripstream import protocol
 from gripstream.protocol import (
     FRAME_MAGIC,
     FRAME_SIZE,
@@ -220,6 +223,40 @@ def test_frames_iterate_the_columns_they_hold_now():
     frames.timestamp_ms[2] = 50
     assert list(frames)[0].amplitudes[0] == 7 and list(frames)[2].timestamp_ms == 50
     assert frames == [frames[i] for i in range(len(frames))]
+
+
+def test_iterating_frames_keeps_no_frame():
+    """Each read builds its GloveFrame anew and keeps none, so reading a recording's frames,
+    however often, leaves it at its columns' size."""
+    frames = decode_frames(encode_frames([frame_at(i * 20, i, amps=range(i, i + 12))
+                                          for i in range(500)]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            for frame in frames:
+                pass
+        del frame
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 400  # a kept GloveFrame costs about 290 bytes, here 500 of them
+
+
+def test_a_big_endian_host_swaps_every_multi_byte_column(monkeypatch):
+    """On a big-endian host each column's items are byteswapped to and from the wire. Made
+    to swap on this host, the wire carries every multi-byte field, CRC included, big-endian."""
+    rng = random.Random(7)
+    frames = [GloveFrame(rng.choice(tuple(Hand)), rng.randrange(2**32), rng.randrange(2**64),
+                         tuple(rng.randrange(65536) for _ in range(12))) for _ in range(9)]
+    big_body = struct.Struct(">BBBIQ12H")
+    swapped = b"".join(
+        body + struct.pack(">H", crc16(body)) for body in (
+            big_body.pack(FRAME_MAGIC, FRAME_VERSION, f.hand, f.seq, f.timestamp_ms,
+                          *f.amplitudes) for f in frames))
+    monkeypatch.setattr(protocol, "_BIG_ENDIAN_HOST", True)
+    assert encode_frames(frames) == swapped
+    assert decode_frames(swapped) == frames
 
 
 def test_encode_frames_checks_its_columns_like_frames_of():

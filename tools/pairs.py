@@ -20,9 +20,11 @@ won (the direction is the metric's ``better``; a tie counts for neither side) an
   metric unchanged;
 - else ``within``.
 
-A last line names the metrics of each verdict. The exit status is 1 if any run failed,
-reported ``correct: false`` or printed no result, else 2 if any metric is ``OUTSIDE``,
-else 0. Stdlib only.
+A last line names the metrics of each verdict. Then it writes the trajectory file
+``BENCH_<base short rev>_<workload>.json`` at the repository root: every run's metrics, and
+per end-to-end metric the medians, base quartiles, wins and verdict, as printed. The exit
+status is 1 if any run failed, reported ``correct: false`` or printed no result, else 2 if any
+metric is ``OUTSIDE``, else 0. Stdlib only.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     results = {"base": [], "change": []}
+    runs = []
     ok = True
     for seed in args.seeds:
         order = ("base", "change") if seed % 2 == 0 else ("change", "base")
@@ -106,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run(side, args.base, args.workload, seed, args.seconds)
             ok = ok and result is not None and result["correct"] is True
             results[side].append(result)
+            runs.append({"seed": seed, "side": side, "result": result})
             if result is not None:
                 values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                                   for m in metrics)
@@ -118,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"\n{args.workload}: {len(pairs)} pairs, base {args.base} against the working tree")
     verdicts = {"within": [], "unresolved": [], "OUTSIDE": []}
+    summary = {}
     for metric in metrics:
         name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -135,12 +140,22 @@ def main(argv: list[str] | None = None) -> int:
         else:
             verdict = "within"
         verdicts[verdict].append(name)
+        summary[name] = {"unit": metric["unit"], "better": metric["better"], "bound": bound,
+                         "base_median": base_med, "change_median": change_med,
+                         "base_q1": q1, "base_q3": q3, "base_iqr_share": spread,
+                         "won": won, "pairs": len(pairs), "verdict": verdict}
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
               f"median {base_med:.6g} -> {change_med:.6g}, base IQR {q1:.6g}-{q3:.6g} "
               f"({spread:.1%} of median), change won {won} of {len(pairs)}, "
               f"{verdict} bound {bound:g}")
     print("verdict: " + "; ".join(f"{verdict} {', '.join(names)}"
                                   for verdict, names in verdicts.items() if names))
+    short = git("rev-parse", "--short", args.base).decode().strip()
+    trajectory = ROOT / f"BENCH_{short}_{args.workload}.json"
+    trajectory.write_text(json.dumps(
+        {"base": short, "workload": args.workload, "seconds": args.seconds, "runs": runs,
+         "summary": summary, "verdicts": verdicts}, indent=1) + "\n")
+    print(f"wrote {trajectory.name}")
     return 1 if not ok else 2 if verdicts["OUTSIDE"] else 0
 
 
